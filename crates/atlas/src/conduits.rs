@@ -19,7 +19,7 @@
 //! provider.
 
 use intertubes_geo::{GeoPoint, Polyline};
-use intertubes_graph::{bridges, dijkstra, MultiGraph, NodeId};
+use intertubes_graph::{bridges, csr_dijkstra, MultiGraph, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -395,18 +395,16 @@ fn detour_geometry(road: &TransportNetwork, u: NodeId, v: NodeId) -> Option<Poly
 /// matches the city table; geometry endpoints are authoritative).
 fn cities_loc(net: &TransportNetwork, n: NodeId) -> GeoPoint {
     // Any incident corridor starts or ends at the city; pick the closer end.
-    for (e, _) in net.graph.neighbors(n) {
-        let g = &net.graph.edge(e).geometry;
-        let (u, v) = net.graph.endpoints(e);
-        return if u == n {
-            g.start()
-        } else if v == n {
-            g.end()
-        } else {
-            g.start()
-        };
+    let Some((e, _)) = net.graph.neighbors(n).next() else {
+        return GeoPoint::new_unchecked(0.0, 0.0);
+    };
+    let g = &net.graph.edge(e).geometry;
+    let (u, v) = net.graph.endpoints(e);
+    if u != n && v == n {
+        g.end()
+    } else {
+        g.start()
     }
-    GeoPoint::new_unchecked(0.0, 0.0)
 }
 
 /// Sampled, gravity-weighted shortest-path edge betweenness.
@@ -438,6 +436,8 @@ fn sampled_betweenness(
         let x: f64 = rng.gen();
         cumulative.partition_point(|&c| c < x).min(cities.len() - 1)
     };
+    let csr = g.to_csr();
+    let mut st = SearchState::new();
     let mut counts = vec![0u32; edges.len()];
     const SAMPLES: usize = 800;
     for _ in 0..SAMPLES {
@@ -446,7 +446,10 @@ fn sampled_betweenness(
         if s == t {
             continue;
         }
-        if let Ok(Some(p)) = dijkstra(&g, NodeId(s as u32), NodeId(t as u32), |e| *g.edge(e)) {
+        let path = csr_dijkstra(&csr, &mut st, NodeId(s as u32), NodeId(t as u32), |e| {
+            *g.edge(e)
+        });
+        if let Ok(Some(p)) = path {
             for e in p.edges {
                 counts[e.index()] += 1;
             }

@@ -13,7 +13,7 @@
 //! (Table 1 / §2.3) by batch-unwinding overshoot and padding with adjacent
 //! conduits.
 
-use intertubes_graph::{shortest_path_tree, NodeId};
+use intertubes_graph::{csr_shortest_path_tree, CsrGraph, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -89,9 +89,13 @@ fn presence_scores(cities: &[City], isp: &IspProfile, rng: &mut StdRng) -> Vec<f
 /// these are the regional trenches that only surface in step 3 of the
 /// paper's pipeline, when POP-only maps are added (+30 conduits in the
 /// paper). Pass all-false to disable the mechanism.
+///
+/// `csr` is `sys.graph` frozen with [`intertubes_graph::MultiGraph::to_csr`];
+/// callers growing several footprints freeze it once and share it.
 pub fn grow_footprint(
     cities: &[City],
     sys: &ConduitSystem,
+    csr: &CsrGraph,
     isp: &IspProfile,
     prior_counts: &[u16],
     reserved: &[bool],
@@ -112,7 +116,7 @@ pub fn grow_footprint(
     // Per-(ISP, conduit) routing jitter: diversifies low-affinity routing.
     let jitter: Vec<f64> = (0..sys.conduits.len()).map(|_| rng.gen::<f64>()).collect();
     let affinity = isp.backbone_affinity;
-    let cost = |e: intertubes_graph::EdgeId| -> f64 {
+    let edge_cost = |e: intertubes_graph::EdgeId| -> f64 {
         let cid = *sys.graph.edge(e);
         if hidden(cid.index()) {
             return f64::INFINITY;
@@ -142,6 +146,10 @@ pub fn grow_footprint(
             .max(0.2);
         sys.conduit(cid).length_km * penalty
     };
+    // The cost depends only on the edge, so every seed's search shares one
+    // precomputed table.
+    let cost: Vec<f64> = sys.graph.edge_ids().map(edge_cost).collect();
+    let mut st = SearchState::new();
 
     let mut in_footprint = vec![false; sys.conduits.len()];
     let mut in_component = vec![false; cities.len()];
@@ -158,23 +166,21 @@ pub fn grow_footprint(
         }
         // The cost function is non-negative by construction; if that were
         // ever violated this seed is skipped rather than panicking.
-        let Ok(tree) = shortest_path_tree(&sys.graph, NodeId(s.0), cost) else {
+        if csr_shortest_path_tree(csr, &mut st, NodeId(s.0), |e| cost[e.index()]).is_err() {
             continue;
-        };
+        }
         // Nearest node already in the component.
         let target = (0..cities.len())
             .filter(|&i| in_component[i])
             .min_by(|&a, &b| {
-                tree.distance(NodeId(a as u32))
-                    .total_cmp(&tree.distance(NodeId(b as u32)))
+                st.distance(NodeId(a as u32))
+                    .total_cmp(&st.distance(NodeId(b as u32)))
             });
         let Some(target) = target else { break };
-        let Some(path) = tree.path_to(NodeId(target as u32)) else {
+        // `None` when the nearest component node is unreachable.
+        let Some(path) = st.path_to(NodeId(target as u32)) else {
             continue;
         };
-        if !tree.reachable(NodeId(target as u32)) {
-            continue;
-        }
         let mut batch = Vec::new();
         for e in &path.edges {
             let cid = *sys.graph.edge(*e);
@@ -264,8 +270,9 @@ pub fn assign_footprints(
     let reserved = reserve_step3_conduits(sys, 30, rng);
     let mut counts = vec![0u16; sys.conduits.len()];
     let mut out = Vec::with_capacity(roster.len());
+    let csr = sys.graph.to_csr();
     for isp in roster {
-        let fp = grow_footprint(cities, sys, isp, &counts, &reserved, rng);
+        let fp = grow_footprint(cities, sys, &csr, isp, &counts, &reserved, rng);
         for c in &fp.conduits {
             counts[c.index()] += 1;
         }

@@ -19,7 +19,7 @@
 //! has realistic, non-identical polylines to work with.
 
 use intertubes_geo::{CorridorLayer, GeoPoint, Polyline};
-use intertubes_graph::{MultiGraph, NodeId};
+use intertubes_graph::{csr_dijkstra, MultiGraph, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -315,22 +315,25 @@ pub fn build_pipeline_network(
     road: &TransportNetwork,
     rng: &mut StdRng,
 ) -> TransportNetwork {
+    let road_csr = road.graph.to_csr();
+    let mut st = SearchState::new();
     let mut pairs = Vec::new();
     for ((an, as_), (bn, bs)) in PIPELINE_PAIRS {
         let a = find_city(cities, an, as_).expect("pipeline city in table");
         let b = find_city(cities, bn, bs).expect("pipeline city in table");
-        let path = intertubes_graph::dijkstra(&road.graph, NodeId(a.0), NodeId(b.0), |e| {
+        let path = csr_dijkstra(&road_csr, &mut st, NodeId(a.0), NodeId(b.0), |e| {
             road.graph.edge(e).length_km
-        })
-        .expect("length cost is non-negative");
+        });
+        // Corridor lengths are non-negative, so an error cannot occur; it
+        // would fall back to the direct pair like a missing path.
         match path {
-            Some(p) => {
+            Ok(Some(p)) => {
                 for w in p.nodes.windows(2) {
                     let (u, v) = (w[0].index(), w[1].index());
                     pairs.push((u.min(v), u.max(v)));
                 }
             }
-            None => {
+            _ => {
                 pairs.push((a.index().min(b.index()), a.index().max(b.index())));
             }
         }

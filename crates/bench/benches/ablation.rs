@@ -126,18 +126,26 @@ fn bench_cluster_threshold(c: &mut Criterion) {
 fn bench_yen_k(c: &mut Criterion) {
     let s = study();
     let graph = s.built.map.graph();
-    let km = |e: intertubes::graph::EdgeId| {
-        s.built.map.conduits[graph.edge(e).index()]
-            .geometry
-            .length_km()
-    };
+    let csr = graph.to_csr();
+    let lengths: Vec<f64> = s
+        .built
+        .map
+        .conduits
+        .iter()
+        .map(|c| c.geometry.length_km())
+        .collect();
+    let km = |e: intertubes::graph::EdgeId| lengths[e.index()];
+    let mut ws = intertubes::graph::YenWorkspace::new();
     let src = intertubes::graph::NodeId(0);
     let dst = intertubes::graph::NodeId((graph.node_count() / 2) as u32);
     let mut group = c.benchmark_group("ablation_yen_k");
     for k in [1usize, 2, 4, 8] {
         group.bench_function(format!("k_{k}"), |b| {
             b.iter(|| {
-                black_box(intertubes::graph::yen_k_shortest(&graph, src, dst, k, km).unwrap())
+                black_box(
+                    intertubes::graph::yen_k_shortest_csr(&csr, &mut ws, src, dst, k, km, None)
+                        .unwrap(),
+                )
             })
         });
     }

@@ -156,16 +156,22 @@ fn bench_latency(c: &mut Criterion) {
 fn bench_substrates(c: &mut Criterion) {
     let s = study();
     let graph = s.built.map.graph();
-    let km = |e: intertubes::graph::EdgeId| {
-        s.built.map.conduits[graph.edge(e).index()]
-            .geometry
-            .length_km()
-    };
+    let csr = graph.to_csr();
+    let lengths: Vec<f64> = s
+        .built
+        .map
+        .conduits
+        .iter()
+        .map(|c| c.geometry.length_km())
+        .collect();
+    let km = |e: intertubes::graph::EdgeId| lengths[e.index()];
+    let mut st = intertubes::graph::SearchState::new();
     c.bench_function("substrate_dijkstra_map", |b| {
         b.iter(|| {
             black_box(
-                intertubes::graph::dijkstra(
-                    &graph,
+                intertubes::graph::csr_dijkstra(
+                    &csr,
+                    &mut st,
                     intertubes::graph::NodeId(0),
                     intertubes::graph::NodeId((graph.node_count() - 1) as u32),
                     km,
@@ -174,15 +180,18 @@ fn bench_substrates(c: &mut Criterion) {
             )
         })
     });
+    let mut ws = intertubes::graph::YenWorkspace::new();
     c.bench_function("substrate_yen_k4", |b| {
         b.iter(|| {
             black_box(
-                intertubes::graph::yen_k_shortest(
-                    &graph,
+                intertubes::graph::yen_k_shortest_csr(
+                    &csr,
+                    &mut ws,
                     intertubes::graph::NodeId(0),
                     intertubes::graph::NodeId((graph.node_count() / 2) as u32),
                     4,
                     km,
+                    None,
                 )
                 .unwrap(),
             )

@@ -158,7 +158,7 @@ impl Landmarks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, MultiGraph};
+    use crate::{csr_dijkstra, MultiGraph, SearchState};
 
     fn line(n: u32) -> MultiGraph<(), f64> {
         let mut g = MultiGraph::new();
@@ -175,9 +175,10 @@ mod tests {
         let csr = g.to_csr();
         let lm = Landmarks::build(&csr, 4, |e| *g.edge(e)).unwrap();
         assert!(lm.count() >= 2);
+        let mut st = SearchState::new();
         for s in 0..6u32 {
             for t in 0..6u32 {
-                let truth = dijkstra(&g, NodeId(s), NodeId(t), |e| *g.edge(e))
+                let truth = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
                     .unwrap()
                     .map_or(f64::INFINITY, |p| p.cost);
                 let lb = lm.lower_bound(NodeId(s), NodeId(t));

@@ -1,17 +1,16 @@
 //! Allocation-free searches over [`CsrGraph`] with reusable scratch state.
 //!
-//! The original `dijkstra.rs` routines allocate `vec![f64::INFINITY; n]`,
-//! `vec![None; n]`, and a fresh heap on every query; batch analyses issue
-//! hundreds of thousands of queries over the same few-hundred-node graph,
-//! so those allocations dominate. [`SearchState`] keeps the arrays alive
+//! A search that allocates `vec![f64::INFINITY; n]`, `vec![None; n]` and a
+//! fresh heap on every query pays for those allocations on every one of
+//! the hundreds of thousands of queries a batch analysis issues over the
+//! same few-hundred-node graph. [`SearchState`] keeps the arrays alive
 //! across queries and resets only the entries the previous search touched
 //! (a "touched list"), making per-query setup O(nodes settled), not
 //! O(graph).
 //!
 //! Three search flavours share one core loop:
 //!
-//! * [`csr_shortest_path_tree`] — full single-source tree, identical to
-//!   [`crate::shortest_path_tree`] relaxation for relaxation;
+//! * [`csr_shortest_path_tree`] — full single-source tree;
 //! * [`csr_dijkstra`] / [`csr_dijkstra_filtered`] — s→t queries that stop
 //!   the moment the target settles, optionally pruned by an ALT landmark
 //!   bound ([`Landmarks`]);
@@ -21,7 +20,8 @@
 //!   the unidirectional engine).
 //!
 //! DESIGN.md §10 spells out why the early exit and the ALT pruning return
-//! byte-identical paths to the full-tree original: once a node settles its
+//! byte-identical paths to a full-tree search (the property tests pin this
+//! against a full-tree reference engine): once a node settles its
 //! distance and predecessor are final, and a pruned relaxation can never
 //! be part of the target's predecessor chain (the margin in
 //! [`prune_margin`] covers float rounding in the landmark bound).
@@ -96,8 +96,7 @@ impl SearchState {
     }
 
     /// Reconstructs the cheapest path found to `target` by the last
-    /// search, or `None` if unreached. Identical in shape and cost to
-    /// [`crate::ShortestPathTree::path_to`].
+    /// search, or `None` if unreached.
     pub fn path_to(&self, target: NodeId) -> Option<Path> {
         let cost = self.distance(target);
         if !cost.is_finite() {
@@ -125,8 +124,8 @@ fn prune_margin(ub: f64) -> f64 {
 }
 
 /// The shared search core. `target = None` builds a full tree; otherwise
-/// the loop stops when `target` settles. `banned` masks nodes/edges like
-/// [`crate::dijkstra_filtered`]; `lm` enables ALT pruning toward `target`.
+/// the loop stops when `target` settles. `banned` masks nodes/edges (see
+/// [`csr_dijkstra_filtered`]); `lm` enables ALT pruning toward `target`.
 fn run(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -211,9 +210,12 @@ fn run(
     Ok(())
 }
 
-/// Full single-source tree into `st`, relaxation-for-relaxation identical
-/// to [`crate::shortest_path_tree`]. Read results with
+/// Full single-source tree into `st`. Read results with
 /// [`SearchState::distance`] / [`SearchState::path_to`].
+///
+/// Costs must be non-negative; a NaN or negative cost is an
+/// [`GraphError::InvalidCost`] the first time its edge is relaxed.
+/// `f64::INFINITY` is allowed and treated as "edge absent".
 pub fn csr_shortest_path_tree(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -225,7 +227,8 @@ pub fn csr_shortest_path_tree(
 
 /// Cheapest `source → target` path, or `Ok(None)` if disconnected.
 /// Stops as soon as `target` settles; the returned path (nodes, edges,
-/// cost bits) is exactly what [`crate::dijkstra`] returns.
+/// cost bits) is exactly what the full tree of [`csr_shortest_path_tree`]
+/// reconstructs for `target`.
 pub fn csr_dijkstra(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -243,9 +246,12 @@ pub fn csr_dijkstra(
     Ok(st.path_to(target))
 }
 
-/// Like [`csr_dijkstra`] with node/edge masks (the
-/// [`crate::dijkstra_filtered`] semantics: banned source → `Ok(None)`),
-/// plus optional ALT pruning via a [`Landmarks`] table built over the
+/// Like [`csr_dijkstra`] with node/edge masks: banned nodes and edges
+/// (and edges touching a banned node) are skipped, and a banned source
+/// gives `Ok(None)`. Masks may be shorter than the graph (missing entries
+/// are unbanned).
+///
+/// `lm` adds optional ALT pruning via a [`Landmarks`] table built over the
 /// *same* cost function. Landmark bounds stay admissible under masks —
 /// masking can only lengthen true distances — so the pruned search returns
 /// the same path the unpruned one would.
@@ -403,7 +409,7 @@ pub fn bidirectional_dijkstra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, dijkstra_filtered, MultiGraph};
+    use crate::MultiGraph;
 
     /// a(0) -1- b(1) -1- c(2) -1- d(3); a -5- d direct.
     fn g() -> MultiGraph<(), f64> {
@@ -416,17 +422,95 @@ mod tests {
         g
     }
 
+    /// `csr_dijkstra` over `g` with its edge weights and a fresh scratch.
+    fn shortest(g: &MultiGraph<(), f64>, s: u32, t: u32) -> Result<Option<Path>, GraphError> {
+        csr_dijkstra(
+            &g.to_csr(),
+            &mut SearchState::new(),
+            NodeId(s),
+            NodeId(t),
+            |e| *g.edge(e),
+        )
+    }
+
     #[test]
-    fn csr_dijkstra_matches_multigraph_dijkstra() {
+    fn finds_cheapest_path() {
+        let g = g();
+        let p = shortest(&g, 0, 3).unwrap().unwrap();
+        assert_eq!(p.cost, 3.0);
+        assert_eq!(p.nodes, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        assert!(p.is_valid_in(&g));
+    }
+
+    #[test]
+    fn parallel_edge_choice_prefers_cheaper() {
+        let mut g = g();
+        let cheap = g.add_edge(NodeId(0), NodeId(3), 0.5);
+        let p = shortest(&g, 0, 3).unwrap().unwrap();
+        assert_eq!(p.cost, 0.5);
+        assert_eq!(p.edges, vec![cheap]);
+    }
+
+    #[test]
+    fn unreachable_is_none() {
+        let mut g = g();
+        let lonely = g.add_node(());
+        assert!(shortest(&g, 0, lonely.0).unwrap().is_none());
+    }
+
+    #[test]
+    fn source_to_self_is_trivial() {
+        let g = g();
+        let p = shortest(&g, 2, 2).unwrap().unwrap();
+        assert_eq!(p.hops(), 0);
+        assert_eq!(p.cost, 0.0);
+    }
+
+    #[test]
+    fn infinite_cost_masks_edge() {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
+        // Mask the b-c edge: the path must take the direct a-d edge.
+        let p = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| {
+            if e == EdgeId(1) {
+                f64::INFINITY
+            } else {
+                *g.edge(e)
+            }
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(p.hops(), 1);
+        assert_eq!(p.cost, 5.0);
+    }
+
+    #[test]
+    fn tree_distances_are_consistent() {
+        let g = g();
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        csr_shortest_path_tree(&csr, &mut st, NodeId(0), |e| *g.edge(e)).unwrap();
+        assert_eq!(st.distance(NodeId(0)), 0.0);
+        assert_eq!(st.distance(NodeId(2)), 2.0);
+        assert_eq!(st.distance(NodeId(3)), 3.0);
+        assert_eq!(st.distance(NodeId(42)), f64::INFINITY);
+        let p = st.path_to(NodeId(2)).unwrap();
+        assert_eq!(p.cost, 2.0);
+        assert_eq!(p.source(), NodeId(0));
+        assert_eq!(p.target(), NodeId(2));
+    }
+
+    #[test]
+    fn csr_dijkstra_matches_full_tree() {
+        let g = g();
+        let csr = g.to_csr();
+        let (mut st, mut tree) = (SearchState::new(), SearchState::new());
         for s in 0..4u32 {
+            csr_shortest_path_tree(&csr, &mut tree, NodeId(s), |e| *g.edge(e)).unwrap();
             for t in 0..4u32 {
-                let a = dijkstra(&g, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
-                let b = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
-                    .unwrap();
-                assert_eq!(a, b, "{s}->{t}");
+                let p = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
+                assert_eq!(p, tree.path_to(NodeId(t)), "{s}->{t}");
             }
         }
     }
@@ -451,38 +535,82 @@ mod tests {
     }
 
     #[test]
-    fn filtered_matches_dijkstra_filtered() {
+    fn filtered_edge_mask_matches_infinite_cost() {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
         let mut banned_edges = vec![false; g.edge_count()];
-        banned_edges[3] = true;
-        let banned_nodes = vec![false; g.node_count()];
-        let a = dijkstra_filtered(
-            &g,
+        banned_edges[1] = true;
+        let masked = csr_dijkstra_filtered(
+            &csr,
+            &mut st,
             NodeId(0),
             NodeId(3),
             |e| *g.edge(e),
-            &banned_nodes,
+            &[],
             &banned_edges,
+            None,
         )
         .unwrap();
-        let b = csr_dijkstra_filtered(
+        let infinite = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| {
+            if banned_edges[e.index()] {
+                f64::INFINITY
+            } else {
+                *g.edge(e)
+            }
+        })
+        .unwrap();
+        assert_eq!(masked, infinite);
+        assert_eq!(masked.unwrap().edges, vec![EdgeId(3)]);
+    }
+
+    #[test]
+    fn filtered_banned_node_forces_detour() {
+        let g = g();
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        let mut banned_nodes = vec![false; g.node_count()];
+        banned_nodes[1] = true; // ban b: must take the direct a-d edge
+        let p = csr_dijkstra_filtered(
             &csr,
             &mut st,
             NodeId(0),
             NodeId(3),
             |e| *g.edge(e),
             &banned_nodes,
+            &vec![false; g.edge_count()],
+            None,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(p.cost, 5.0);
+        assert_eq!(p.hops(), 1);
+    }
+
+    #[test]
+    fn filtered_banned_edges_respected() {
+        let g = g();
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        let mut banned_edges = vec![false; g.edge_count()];
+        banned_edges[3] = true; // ban direct a-d
+        banned_edges[1] = true; // ban b-c: now unreachable
+        let p = csr_dijkstra_filtered(
+            &csr,
+            &mut st,
+            NodeId(0),
+            NodeId(3),
+            |e| *g.edge(e),
+            &vec![false; g.node_count()],
             &banned_edges,
             None,
         )
         .unwrap();
-        assert_eq!(a, b);
+        assert!(p.is_none());
     }
 
     #[test]
-    fn filtered_banned_source_is_none_and_oob_targets_error() {
+    fn filtered_banned_source_is_none_and_oob_ids_error() {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
@@ -504,6 +632,8 @@ mod tests {
         assert!(matches!(r, Err(GraphError::NodeOutOfBounds { .. })));
         let r = csr_dijkstra(&csr, &mut st, NodeId(42), NodeId(0), |e| *g.edge(e));
         assert!(matches!(r, Err(GraphError::NodeOutOfBounds { .. })));
+        let r = csr_shortest_path_tree(&csr, &mut st, NodeId(42), |_| 1.0);
+        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { .. })));
     }
 
     #[test]
@@ -511,12 +641,14 @@ mod tests {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
-        let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| -1.0);
-        assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
+        for bad in [-1.0, f64::NAN] {
+            let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| bad);
+            assert!(matches!(r, Err(GraphError::InvalidCost { .. })), "{bad}");
+            let r = csr_shortest_path_tree(&csr, &mut st, NodeId(0), |_| bad);
+            assert!(matches!(r, Err(GraphError::InvalidCost { .. })), "{bad}");
+        }
         let mut bwd = SearchState::new();
-        let r = bidirectional_dijkstra(&csr, &mut st, &mut bwd, NodeId(0), NodeId(3), |_| {
-            f64::NAN
-        });
+        let r = bidirectional_dijkstra(&csr, &mut st, &mut bwd, NodeId(0), NodeId(3), |_| f64::NAN);
         assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
     }
 
@@ -524,19 +656,17 @@ mod tests {
     fn bidirectional_finds_exact_minimum() {
         let g = g();
         let csr = g.to_csr();
-        let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
+        let (mut st, mut fwd, mut bwd) =
+            (SearchState::new(), SearchState::new(), SearchState::new());
         for s in 0..4u32 {
             for t in 0..4u32 {
-                let uni = dijkstra(&g, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
-                let bi = bidirectional_dijkstra(
-                    &csr,
-                    &mut fwd,
-                    &mut bwd,
-                    NodeId(s),
-                    NodeId(t),
-                    |e| *g.edge(e),
-                )
-                .unwrap();
+                let uni =
+                    csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
+                let bi =
+                    bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(s), NodeId(t), |e| {
+                        *g.edge(e)
+                    })
+                    .unwrap();
                 match (uni, bi) {
                     (Some(u), Some(b)) => {
                         assert!((u.cost - b.cost).abs() < 1e-9, "{s}->{t}");
@@ -557,9 +687,8 @@ mod tests {
         let lonely = g.add_node(());
         let csr = g.to_csr();
         let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-        let r =
-            bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(0), lonely, |e| *g.edge(e))
-                .unwrap();
+        let r = bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(0), lonely, |e| *g.edge(e))
+            .unwrap();
         assert!(r.is_none());
     }
 }

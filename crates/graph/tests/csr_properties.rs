@@ -1,17 +1,21 @@
-//! Property-based tests pinning the CSR search stack to the `MultiGraph`
-//! engines: same paths, same order, same cost bits — only the cost of
-//! computing them may differ (DESIGN.md §10).
+//! Property-based tests pinning the CSR search stack to independent
+//! references: the full-tree `MultiGraph` Dijkstra in [`reference`] (same
+//! paths, same cost bits — only the cost of computing them may differ,
+//! DESIGN.md §10) and, for Yen, a brute-force enumeration of every
+//! loopless path.
 //!
 //! The generator includes zero-weight edges, parallel edges, self-loops
 //! and disconnected components — exactly the shapes where a divergent
 //! tie-break or reset bug would surface.
 
+mod reference;
+
 use intertubes_graph::{
     bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree,
-    dijkstra, dijkstra_filtered, shortest_path_tree, yen_k_shortest, yen_k_shortest_csr,
-    Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
+    yen_k_shortest_csr, EdgeId, Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
 };
 use proptest::prelude::*;
+use reference::{dijkstra, dijkstra_filtered, shortest_path_tree};
 
 /// A random multigraph: parallel edges, self-loops and zero-weight edges
 /// possible, plus isolated nodes (node count can exceed edge coverage).
@@ -29,6 +33,40 @@ fn arb_graph() -> impl Strategy<Value = (MultiGraph<(), f64>, usize)> {
             (g, n)
         })
     })
+}
+
+/// Costs of every loopless `s → t` path (distinct edge sequences, so
+/// parallel edges give distinct paths), ascending. Each cost is summed
+/// along the path.
+fn all_loopless_costs(g: &MultiGraph<(), f64>, s: NodeId, t: NodeId) -> Vec<f64> {
+    fn walk(
+        g: &MultiGraph<(), f64>,
+        at: NodeId,
+        t: NodeId,
+        on_path: &mut [bool],
+        cost: f64,
+        out: &mut Vec<f64>,
+    ) {
+        if at == t {
+            out.push(cost);
+            return;
+        }
+        let edges: Vec<(EdgeId, NodeId)> = g.neighbors(at).collect();
+        for (e, next) in edges {
+            if on_path[next.index()] {
+                continue;
+            }
+            on_path[next.index()] = true;
+            walk(g, next, t, on_path, cost + *g.edge(e), out);
+            on_path[next.index()] = false;
+        }
+    }
+    let mut on_path = vec![false; g.node_count()];
+    on_path[s.index()] = true;
+    let mut out = Vec::new();
+    walk(g, s, t, &mut on_path, 0.0, &mut out);
+    out.sort_by(f64::total_cmp);
+    out
 }
 
 proptest! {
@@ -96,20 +134,31 @@ proptest! {
         }
     }
 
-    /// CSR Yen (fresh or reused workspace, pruned or not) returns exactly
-    /// the `MultiGraph` Yen ranking.
+    /// CSR Yen's k costs are the k smallest costs over every loopless
+    /// path, and a reused workspace or ALT pruning returns exactly what a
+    /// fresh, unpruned run returns.
     #[test]
-    fn csr_yen_is_byte_identical((g, n) in arb_graph(), s in 0usize..8, t in 0usize..8, k in 1usize..6) {
+    fn csr_yen_matches_brute_force((g, n) in arb_graph(), s in 0usize..8, t in 0usize..8, k in 1usize..6) {
         let s = NodeId((s % n) as u32);
         let t = NodeId((t % n) as u32);
         prop_assume!(s != t);
         let csr = g.to_csr();
+        let fresh =
+            yen_k_shortest_csr(&csr, &mut YenWorkspace::new(), s, t, k, |e| *g.edge(e), None)
+                .unwrap();
+        let all = all_loopless_costs(&g, s, t);
+        prop_assert_eq!(fresh.len(), all.len().min(k));
+        for (i, (p, want)) in fresh.iter().zip(&all).enumerate() {
+            prop_assert!((p.cost - want).abs() < 1e-9,
+                "path {}: yen {} vs enumerated {}", i, p.cost, want);
+        }
         let lm = Landmarks::build(&csr, 4, |e| *g.edge(e)).unwrap();
         let mut ws = YenWorkspace::new();
-        let old = yen_k_shortest(&g, s, t, k, |e| *g.edge(e)).unwrap();
+        // Dirty the workspace with an unrelated query first.
+        yen_k_shortest_csr(&csr, &mut ws, t, s, k, |e| *g.edge(e), None).unwrap();
         for alt in [None, Some(&lm)] {
-            let new = yen_k_shortest_csr(&csr, &mut ws, s, t, k, |e| *g.edge(e), alt).unwrap();
-            prop_assert_eq!(&old, &new, "alt={}", alt.is_some());
+            let reused = yen_k_shortest_csr(&csr, &mut ws, s, t, k, |e| *g.edge(e), alt).unwrap();
+            prop_assert_eq!(&fresh, &reused, "alt={}", alt.is_some());
         }
     }
 

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use intertubes_atlas::{CityId, IspTier, World};
-use intertubes_graph::{dijkstra, EdgeId, NodeId, Path};
+use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, NodeId, Path, SearchState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -91,6 +91,12 @@ pub struct Campaign {
 /// Per-provider routing state over the ground-truth conduit graph.
 struct CarrierTable<'w> {
     world: &'w World,
+    /// The conduit graph, frozen once for every provider's searches.
+    csr: CsrGraph,
+    /// Per-edge conduit length, km.
+    km: Vec<f64>,
+    /// Search scratch shared by every route query.
+    st: SearchState,
     /// For each provider: banned-edge mask (edges outside the footprint).
     banned: Vec<Vec<bool>>,
     /// For each provider: whether it touches each city.
@@ -139,8 +145,15 @@ impl<'w> CarrierTable<'w> {
                 IspTier::Cable => 0.4 * links,
             });
         }
+        let g = &world.system.graph;
         CarrierTable {
             world,
+            csr: g.to_csr(),
+            km: g
+                .edge_ids()
+                .map(|e| world.system.conduit(*g.edge(e)).length_km)
+                .collect(),
+            st: SearchState::new(),
             banned,
             presence,
             access_weight,
@@ -155,19 +168,20 @@ impl<'w> CarrierTable<'w> {
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
-        let world = self.world;
-        let banned = &self.banned[isp];
-        let g = &world.system.graph;
-        let cost = |e: EdgeId| {
-            if banned[e.index()] {
-                f64::INFINITY
-            } else {
-                world.system.conduit(*g.edge(e)).length_km
-            }
-        };
-        let path = dijkstra(g, NodeId(src.0), NodeId(dst.0), cost)
-            .expect("length cost is non-negative")
-            .map(Rc::new);
+        // Conduit lengths are finite and non-negative, so the search cannot
+        // fail; an error would read as "unreachable" like a missing path.
+        let path = csr_dijkstra_filtered(
+            &self.csr,
+            &mut self.st,
+            NodeId(src.0),
+            NodeId(dst.0),
+            |e| self.km[e.index()],
+            &[],
+            &self.banned[isp],
+            None,
+        )
+        .unwrap_or(None)
+        .map(Rc::new);
         self.cache.insert(key, path.clone());
         path
     }

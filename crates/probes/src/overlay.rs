@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use intertubes_atlas::World;
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 use intertubes_geo::GeoPoint;
-use intertubes_graph::{dijkstra, EdgeId, NodeId};
+use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, MultiGraph, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId, MapNodeId};
 use serde::{Deserialize, Serialize};
 
@@ -235,6 +235,12 @@ pub fn overlay_campaign_with_chunk_size(
     let mut span = intertubes_obs::stage("overlay");
     span.items("traces", campaign.traces.len());
     let graph = map.graph();
+    let csr = graph.to_csr();
+    // Per-edge km, summed once instead of on every relaxation.
+    let km: Vec<f64> = graph
+        .edge_ids()
+        .map(|e| map.conduits[graph.edge(e).index()].geometry.length_km())
+        .collect();
     // Label → map node.
     let node_of: HashMap<&str, MapNodeId> = map
         .nodes
@@ -250,12 +256,18 @@ pub fn overlay_campaign_with_chunk_size(
         .collect();
 
     // Shard fan-out: contiguous trace chunks, each with its own
-    // accumulators and gap cache (the cache only memoizes deterministic
-    // dijkstra results, so per-shard caches cannot change any output).
+    // accumulators, search scratch and gap cache (the cache only memoizes
+    // deterministic shortest-path results, so per-shard caches cannot
+    // change any output).
+    let routing = GapRouting {
+        graph: &graph,
+        csr: &csr,
+        km: &km,
+    };
     let shards: Vec<Result<(Overlay, usize), ProbeError>> = intertubes_parallel::par_chunks_map(
         &campaign.traces,
         chunk_size.max(1),
-        |offset, traces| overlay_shard(world, map, &graph, &city_to_node, traces, offset, policy),
+        |offset, traces| overlay_shard(world, map, &routing, &city_to_node, traces, offset, policy),
     );
 
     // Merge barrier. Shards cover ascending trace ranges, so the first
@@ -290,19 +302,28 @@ pub fn overlay_campaign_with_chunk_size(
     Ok((overlay, report))
 }
 
+/// The read-only map view gap filling searches: the map graph (for edge →
+/// conduit payloads), its frozen CSR form and the per-edge km costs.
+struct GapRouting<'a> {
+    graph: &'a MultiGraph<MapNodeId, MapConduitId>,
+    csr: &'a CsrGraph,
+    km: &'a [f64],
+}
+
 /// Overlays one contiguous shard of traces; `offset` is the shard's first
 /// global trace index (used for strict-mode error reporting).
 fn overlay_shard(
     world: &World,
     map: &FiberMap,
-    graph: &intertubes_graph::MultiGraph<MapNodeId, MapConduitId>,
+    routing: &GapRouting<'_>,
     city_to_node: &[Option<MapNodeId>],
     traces: &[crate::campaign::Traceroute],
     offset: usize,
     policy: DegradationPolicy,
 ) -> Result<(Overlay, usize), ProbeError> {
     let n = map.conduits.len();
-    let km = |e: EdgeId| map.conduits[graph.edge(e).index()].geometry.length_km();
+    let GapRouting { graph, csr, km } = *routing;
+    let mut st = SearchState::new();
     let mut gap_cache: HashMap<(u32, u32), Option<Vec<MapConduitId>>> = HashMap::new();
 
     let mut conduit_freq = vec![0u64; n];
@@ -375,12 +396,14 @@ fn overlay_shard(
                 vec![chosen]
             } else {
                 let key = (u.0.min(v.0), u.0.max(v.0));
-                // A dijkstra error (non-finite edge cost) means the map
+                // A search error (non-finite edge cost) means the map
                 // region is unusable for gap-filling: same as no path.
                 let path = gap_cache.entry(key).or_insert_with(|| {
-                    dijkstra(graph, NodeId(u.0), NodeId(v.0), km)
-                        .unwrap_or(None)
-                        .map(|p| p.edges.iter().map(|e| *graph.edge(*e)).collect())
+                    csr_dijkstra(csr, &mut st, NodeId(u.0), NodeId(v.0), |e: EdgeId| {
+                        km[e.index()]
+                    })
+                    .unwrap_or(None)
+                    .map(|p| p.edges.iter().map(|e| *graph.edge(*e)).collect())
                 });
                 match path {
                     Some(p) => p.clone(),
