@@ -1,8 +1,10 @@
 //! Property-based tests for the synthetic-world substrates.
 
-use intertubes_atlas::{gabriel_pairs, knn_pairs, City};
+use intertubes_atlas::{gabriel_pairs, knn_pairs, load_cities, City};
 use intertubes_geo::GeoPoint;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn mk_cities(points: Vec<(f64, f64)>) -> Vec<City> {
     points
@@ -34,6 +36,75 @@ fn arb_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
     )
 }
 
+/// The Gabriel definition tested literally, O(n³): `(u, v)` is a pair
+/// unless some third point, tried in index order, lies inside the circle
+/// with diameter `uv`.
+fn gabriel_brute_force(cities: &[City]) -> Vec<(usize, usize)> {
+    let n = cities.len();
+    let mut out = Vec::new();
+    for u in 0..n {
+        for v in u + 1..n {
+            let mid = cities[u].location.midpoint(&cities[v].location);
+            let r = cities[u].location.distance_km(&cities[v].location) / 2.0;
+            let blocked =
+                (0..n).any(|w| w != u && w != v && cities[w].location.distance_km(&mid) < r - 1e-9);
+            if !blocked {
+                out.push((u, v));
+            }
+        }
+    }
+    out
+}
+
+/// Points on a coarse 2° lattice: duplicates and cocircular quadruples
+/// (every lattice rectangle) are the common case, not the exception.
+fn arb_lattice_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    prop::collection::vec((0u8..6, 0u8..6), 3..30).prop_map(|cells| {
+        cells
+            .into_iter()
+            .map(|(i, j)| (30.0 + 2.0 * i as f64, -100.0 + 2.0 * j as f64))
+            .collect()
+    })
+}
+
+#[test]
+fn gabriel_matches_brute_force_on_reference_gazetteer() {
+    let cities = load_cities();
+    assert_eq!(gabriel_pairs(&cities), gabriel_brute_force(&cities));
+}
+
+#[test]
+fn gabriel_matches_brute_force_on_seeded_degenerate_sets() {
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3usize..40);
+        let mut points: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(26.0..48.0), rng.gen_range(-122.0..-70.0)))
+            .collect();
+        // Exact duplicates of existing points.
+        for _ in 0..rng.gen_range(1usize..5) {
+            let i = rng.gen_range(0..points.len());
+            points.push(points[i]);
+        }
+        // A ring of cocircular points plus its centre, so diametral pairs
+        // of the ring have other ring points on their circle's boundary.
+        let centre =
+            GeoPoint::new_unchecked(rng.gen_range(30.0..44.0), rng.gen_range(-115.0..-80.0));
+        let radius = rng.gen_range(50.0..400.0);
+        points.push((centre.lat, centre.lon));
+        for k in 0..8 {
+            let p = centre.destination(45.0 * k as f64, radius);
+            points.push((p.lat, p.lon));
+        }
+        let cities = mk_cities(points);
+        assert_eq!(
+            gabriel_pairs(&cities),
+            gabriel_brute_force(&cities),
+            "seed {seed}"
+        );
+    }
+}
+
 /// Union-find connectivity over index pairs.
 fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
     let mut parent: Vec<usize> = (0..n).collect();
@@ -53,6 +124,12 @@ fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
 }
 
 proptest! {
+    #[test]
+    fn gabriel_nearest_first_matches_brute_force(points in arb_lattice_points()) {
+        let cities = mk_cities(points);
+        prop_assert_eq!(gabriel_pairs(&cities), gabriel_brute_force(&cities));
+    }
+
     #[test]
     fn gabriel_graph_is_connected_and_supersets_nn(points in arb_points()) {
         let cities = mk_cities(points);

@@ -95,6 +95,17 @@ impl SearchState {
         self.dist.get(n.index()).copied().unwrap_or(f64::INFINITY)
     }
 
+    /// The last tree edge into `n` and the node it leaves from, as found by
+    /// the last search; `None` for the source, unreached nodes and
+    /// out-of-bounds ids. Following it from any reached node walks the
+    /// same chain [`SearchState::path_to`] reconstructs.
+    pub fn predecessor(&self, n: NodeId) -> Option<(EdgeId, NodeId)> {
+        match self.prev_edge.get(n.index()) {
+            Some(&e) if e != NONE => Some((EdgeId(e), NodeId(self.prev_node[n.index()]))),
+            _ => None,
+        }
+    }
+
     /// Reconstructs the cheapest path found to `target` by the last
     /// search, or `None` if unreached.
     pub fn path_to(&self, target: NodeId) -> Option<Path> {
@@ -499,6 +510,32 @@ mod tests {
         assert_eq!(p.cost, 2.0);
         assert_eq!(p.source(), NodeId(0));
         assert_eq!(p.target(), NodeId(2));
+    }
+
+    #[test]
+    fn predecessor_walk_matches_path_to() {
+        let mut g = g();
+        let lonely = g.add_node(());
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        assert!(csr_shortest_path_tree(&csr, &mut st, NodeId(0), |e| *g.edge(e)).is_ok());
+        assert_eq!(st.predecessor(NodeId(0)), None, "the source has none");
+        assert_eq!(st.predecessor(lonely), None, "unreached");
+        assert_eq!(st.predecessor(NodeId(42)), None, "out of bounds");
+        for t in 0..4u32 {
+            let Some(p) = st.path_to(NodeId(t)) else {
+                panic!("0->{t} unreached");
+            };
+            let (mut nodes, mut edges, mut cur) = (vec![NodeId(t)], Vec::new(), NodeId(t));
+            while let Some((e, from)) = st.predecessor(cur) {
+                edges.push(e);
+                nodes.push(from);
+                cur = from;
+            }
+            nodes.reverse();
+            edges.reverse();
+            assert_eq!((nodes, edges), (p.nodes, p.edges), "0->{t}");
+        }
     }
 
     #[test]

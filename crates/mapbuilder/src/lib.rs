@@ -23,8 +23,8 @@ pub use annotate::{to_annotated_geojson, MapAnnotations};
 pub use cluster::{geometry_separation_km, same_conduit};
 pub use colocation::{analyze_colocation, corridor_index, ColocationHistogram, ColocationReport};
 pub use model::{
-    FiberMap, LongHaulPolicy, MapConduit, MapConduitId, MapNode, MapNodeId, Provenance, Tenancy,
-    TenancySource,
+    ConduitPairIndex, FiberMap, LongHaulPolicy, MapConduit, MapConduitId, MapNode, MapNodeId,
+    Provenance, Tenancy, TenancySource,
 };
 pub use pipeline::{build_map, build_map_checked, BuiltMap, PipelineConfig, StepReport};
 pub use stats::{summarize, table1_rows, to_geojson, MapSummary, ProviderRow};

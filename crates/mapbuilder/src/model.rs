@@ -225,6 +225,65 @@ impl FiberMap {
     }
 }
 
+/// Every conduit between each node pair, indexed once for repeated
+/// lookups: [`ConduitPairIndex::between`] returns exactly what
+/// [`FiberMap::conduits_between`] returns (the same ids, ascending), in
+/// O(log degree) instead of a scan over every conduit.
+#[derive(Debug, Clone)]
+pub struct ConduitPairIndex {
+    /// `offsets[u]..offsets[u + 1]` spans node `u`'s entries.
+    offsets: Vec<usize>,
+    /// Per entry: the conduit's far endpoint, ascending within a node.
+    far: Vec<u32>,
+    /// Per entry: the conduit, ascending within a (node, far endpoint) run.
+    conduits: Vec<MapConduitId>,
+}
+
+impl ConduitPairIndex {
+    /// Indexes `map`'s conduits by endpoint pair.
+    pub fn new(map: &FiberMap) -> ConduitPairIndex {
+        // (node, far endpoint, conduit), once per direction; a self-loop
+        // is one entry, as `conduits_between(a, a)` lists it once.
+        let mut entries: Vec<(u32, u32, MapConduitId)> = Vec::with_capacity(2 * map.conduits.len());
+        for (i, c) in map.conduits.iter().enumerate() {
+            let id = MapConduitId(i as u32);
+            entries.push((c.a.0, c.b.0, id));
+            if c.a != c.b {
+                entries.push((c.b.0, c.a.0, id));
+            }
+        }
+        entries.sort_unstable();
+        let nodes = entries
+            .last()
+            .map_or(0, |e| e.0 as usize + 1)
+            .max(map.nodes.len());
+        let mut offsets = vec![0usize; nodes + 1];
+        for e in &entries {
+            offsets[e.0 as usize + 1] += 1;
+        }
+        for i in 0..nodes {
+            offsets[i + 1] += offsets[i];
+        }
+        ConduitPairIndex {
+            offsets,
+            far: entries.iter().map(|e| e.1).collect(),
+            conduits: entries.iter().map(|e| e.2).collect(),
+        }
+    }
+
+    /// All conduits joining `a` and `b`, ascending by id.
+    pub fn between(&self, a: MapNodeId, b: MapNodeId) -> &[MapConduitId] {
+        let (Some(&lo), Some(&hi)) = (self.offsets.get(a.index()), self.offsets.get(a.index() + 1))
+        else {
+            return &[];
+        };
+        let far = &self.far[lo..hi];
+        let start = far.partition_point(|&f| f < b.0);
+        let end = far.partition_point(|&f| f <= b.0);
+        &self.conduits[lo + start..lo + end]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,6 +359,26 @@ mod tests {
         let b = m.find_node("Houston, TX").unwrap();
         assert_eq!(m.conduits_between(a, b).len(), 2);
         assert_eq!(m.conduits_between(b, a).len(), 2);
+    }
+
+    #[test]
+    fn pair_index_matches_conduits_between() {
+        let mut m = sample_map();
+        // A self-loop and a node no conduit touches.
+        let austin = MapNodeId(2);
+        m.conduits.push(MapConduit {
+            b: austin,
+            ..m.conduits[2].clone()
+        });
+        m.ensure_node("Waco, TX", p(31.55, -97.15));
+        let index = ConduitPairIndex::new(&m);
+        for a in 0..m.nodes.len() as u32 + 1 {
+            for b in 0..m.nodes.len() as u32 + 1 {
+                let (a, b) = (MapNodeId(a), MapNodeId(b));
+                assert_eq!(index.between(a, b), m.conduits_between(a, b), "{a:?}-{b:?}");
+            }
+        }
+        assert_eq!(index.between(austin, austin), [MapConduitId(3)]);
     }
 
     #[test]

@@ -15,11 +15,8 @@
 //! * **DNS naming hints** (airport codes and carrier tags in interface
 //!   names) identify a hop's operator only part of the time.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use intertubes_atlas::{CityId, IspTier, World};
-use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, NodeId, Path, SearchState};
+use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -88,6 +85,10 @@ pub struct Campaign {
     pub unrouted: usize,
 }
 
+/// Sentinel for "no tree edge" in a cached predecessor array: the tree's
+/// source, or a city the provider cannot reach from it.
+const NO_EDGE: u32 = u32::MAX;
+
 /// Per-provider routing state over the ground-truth conduit graph.
 struct CarrierTable<'w> {
     world: &'w World,
@@ -95,7 +96,7 @@ struct CarrierTable<'w> {
     csr: CsrGraph,
     /// Per-edge conduit length, km.
     km: Vec<f64>,
-    /// Search scratch shared by every route query.
+    /// Search scratch shared by every tree build.
     st: SearchState,
     /// For each provider: banned-edge mask (edges outside the footprint).
     banned: Vec<Vec<bool>>,
@@ -105,8 +106,27 @@ struct CarrierTable<'w> {
     access_weight: Vec<f64>,
     /// Provider weights for transit selection.
     transit_weight: Vec<f64>,
-    /// Path cache: (provider, src, dst) → path (None = unreachable).
-    cache: HashMap<(u16, u32, u32), Option<Rc<Path>>>,
+    /// Shortest-path trees within each provider's footprint, slot
+    /// `provider * cities + source`, built on first use: the tree edge
+    /// into each city, or [`NO_EDGE`]. Empty until built.
+    trees: Vec<Vec<u32>>,
+    /// Per source city: every city ordered by distance from it, then by
+    /// index. Empty until first needed.
+    nearest: Vec<Vec<u32>>,
+    /// The last route walked, reused across queries.
+    leg: Leg,
+    /// Route queries answered, trees built and peering cities looked up.
+    route_calls: usize,
+    trees_built: usize,
+    peering_lookups: usize,
+}
+
+/// One provider's leg of a route: the city chain and the conduits joining
+/// it (`edges[i]` joins `nodes[i]` and `nodes[i + 1]`).
+#[derive(Debug, Default, PartialEq)]
+struct Leg {
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
 }
 
 impl<'w> CarrierTable<'w> {
@@ -154,36 +174,91 @@ impl<'w> CarrierTable<'w> {
                 .map(|e| world.system.conduit(*g.edge(e)).length_km)
                 .collect(),
             st: SearchState::new(),
+            trees: vec![Vec::new(); banned.len() * n_cities],
+            nearest: vec![Vec::new(); n_cities],
             banned,
             presence,
             access_weight,
             transit_weight,
-            cache: HashMap::new(),
+            leg: Leg::default(),
+            route_calls: 0,
+            trees_built: 0,
+            peering_lookups: 0,
         }
     }
 
-    /// Shortest km-path within provider `isp`'s footprint, cached.
-    fn route(&mut self, isp: usize, src: CityId, dst: CityId) -> Option<Rc<Path>> {
-        let key = (isp as u16, src.0, dst.0);
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
+    /// Shortest km-path within provider `isp`'s footprint, or `None` if
+    /// `dst` is unreachable. The leg lives until the next query.
+    ///
+    /// Walks the cached tree of `(isp, src)`. An s→t search that stops when
+    /// `dst` settles returns exactly the chain the full tree holds for
+    /// `dst` (DESIGN.md §10), so one tree per source answers every
+    /// destination with the same path.
+    fn route(&mut self, isp: usize, src: CityId, dst: CityId) -> Option<&Leg> {
+        self.route_calls += 1;
+        let n = self.world.cities.len();
+        let slot = isp * n + src.index();
+        if self.trees[slot].is_empty() {
+            let (banned, km) = (&self.banned[isp], &self.km);
+            let st = &mut self.st;
+            self.trees[slot] = match csr_shortest_path_tree(&self.csr, st, NodeId(src.0), |e| {
+                if banned[e.index()] {
+                    f64::INFINITY
+                } else {
+                    km[e.index()]
+                }
+            }) {
+                Ok(()) => (0..n as u32)
+                    .map(|c| st.predecessor(NodeId(c)).map_or(NO_EDGE, |(e, _)| e.0))
+                    .collect(),
+                // Conduit lengths are finite and non-negative, so the search
+                // cannot fail; a failed tree reads as "unreachable" like a
+                // missing path.
+                Err(_) => vec![NO_EDGE; n],
+            };
+            self.trees_built += 1;
         }
-        // Conduit lengths are finite and non-negative, so the search cannot
-        // fail; an error would read as "unreachable" like a missing path.
-        let path = csr_dijkstra_filtered(
-            &self.csr,
-            &mut self.st,
-            NodeId(src.0),
-            NodeId(dst.0),
-            |e| self.km[e.index()],
-            &[],
-            &self.banned[isp],
-            None,
-        )
-        .unwrap_or(None)
-        .map(Rc::new);
-        self.cache.insert(key, path.clone());
-        path
+        let (tree, Leg { nodes, edges }) = (&self.trees[slot], &mut self.leg);
+        let mut cur = NodeId(dst.0);
+        nodes.clear();
+        edges.clear();
+        nodes.push(cur);
+        while tree[cur.index()] != NO_EDGE {
+            let e = EdgeId(tree[cur.index()]);
+            cur = self.csr.other_endpoint(e, cur);
+            edges.push(e);
+            nodes.push(cur);
+        }
+        if cur.0 != src.0 {
+            return None;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(&self.leg)
+    }
+
+    /// The city nearest `src` where both providers are present, ties to
+    /// the lower city index.
+    fn peering(&mut self, access: usize, transit: usize, src: CityId) -> Option<CityId> {
+        self.peering_lookups += 1;
+        let order = &mut self.nearest[src.index()];
+        if order.is_empty() {
+            let cities = &self.world.cities;
+            let src_loc = cities[src.index()].location;
+            let d: Vec<f64> = cities
+                .iter()
+                .map(|c| c.location.distance_km(&src_loc))
+                .collect();
+            *order = (0..cities.len() as u32).collect();
+            // Distances are finite, so this is the order in which a strict
+            // `<` scan by index would meet each city as a new minimum.
+            order.sort_by(|&a, &b| d[a as usize].total_cmp(&d[b as usize]).then(a.cmp(&b)));
+        }
+        let (a, t) = (&self.presence[access], &self.presence[transit]);
+        order
+            .iter()
+            .find(|&&ci| a[ci as usize] && t[ci as usize])
+            .map(|&ci| CityId(ci))
     }
 
     fn weighted_pick(
@@ -225,22 +300,28 @@ struct PlannedRoute {
     tunnel: Option<(usize, usize)>,
 }
 
-fn extend_route(route: &mut PlannedRoute, path: &Path, owner: usize) {
+fn extend_route(route: &mut PlannedRoute, leg: &Leg, owner: usize) {
     let start = if route.cities.is_empty() { 0 } else { 1 };
-    for n in &path.nodes[start..] {
+    for n in &leg.nodes[start..] {
         route.cities.push(CityId(n.0));
     }
-    for _ in &path.edges {
+    for _ in &leg.edges {
         route.owners.push(owner);
     }
 }
 
 /// Runs a campaign over the world.
 pub fn run_campaign(world: &World, cfg: &ProbeConfig) -> Campaign {
+    campaign_with(&mut CarrierTable::new(world), cfg)
+}
+
+/// [`run_campaign`] over a caller-owned table, whose route trees outlive
+/// the campaign.
+fn campaign_with(table: &mut CarrierTable<'_>, cfg: &ProbeConfig) -> Campaign {
+    let world = table.world;
     let mut span = intertubes_obs::stage("probes.campaign");
     span.items("probes", cfg.probes);
     let mut rng = StdRng::seed_from_u64(world.config.seed ^ cfg.seed.rotate_left(17));
-    let mut table = CarrierTable::new(world);
     // Population-weighted city sampler.
     let total_pop: f64 = world.cities.iter().map(|c| c.population as f64).sum();
     let mut cumulative = Vec::with_capacity(world.cities.len());
@@ -271,7 +352,7 @@ pub fn run_campaign(world: &World, cfg: &ProbeConfig) -> Campaign {
         // first-choice combination cannot reach the destination.
         let mut planned = None;
         for _ in 0..6 {
-            if let Some(r) = plan_route(&mut table, &mut rng, cfg, src, dst) {
+            if let Some(r) = plan_route(table, &mut rng, cfg, src, dst) {
                 planned = Some(r);
                 break;
             }
@@ -284,6 +365,9 @@ pub fn run_campaign(world: &World, cfg: &ProbeConfig) -> Campaign {
     }
     span.items("traces", traces.len());
     span.items("unrouted", unrouted);
+    span.items("route_calls", table.route_calls);
+    span.items("trees_built", table.trees_built);
+    span.items("peering_lookups", table.peering_lookups);
     Campaign {
         config: *cfg,
         traces,
@@ -301,8 +385,7 @@ fn plan_route(
 ) -> Option<PlannedRoute> {
     // Option A: one carrier covers both ends.
     if rng.gen_bool(cfg.single_carrier_rate) {
-        let weights = table.transit_weight.clone();
-        if let Some(isp) = table.weighted_pick(rng, &weights, |i| {
+        if let Some(isp) = table.weighted_pick(rng, &table.transit_weight, |i| {
             table.presence[i][src.index()] && table.presence[i][dst.index()]
         }) {
             if let Some(p) = table.route(isp, src, dst) {
@@ -311,18 +394,19 @@ fn plan_route(
                     owners: Vec::new(),
                     tunnel: None,
                 };
-                extend_route(&mut route, &p, isp);
+                extend_route(&mut route, p, isp);
                 return Some(route);
             }
         }
     }
     // Option B: access at the source, transit across, access at the far end
     // when the transit carrier does not reach the destination city.
-    let aw = table.access_weight.clone();
-    let tw = table.transit_weight.clone();
-    let access = table.weighted_pick(rng, &aw, |i| table.presence[i][src.index()])?;
-    let transit =
-        table.weighted_pick(rng, &tw, |i| i != access && table.presence[i][dst.index()])?;
+    let access = table.weighted_pick(rng, &table.access_weight, |i| {
+        table.presence[i][src.index()]
+    })?;
+    let transit = table.weighted_pick(rng, &table.transit_weight, |i| {
+        i != access && table.presence[i][dst.index()]
+    })?;
     // Handoff: the access provider routes to the nearest city shared with
     // the transit provider (approximated by trying the destination first,
     // then a few of the transit provider's cities near the source).
@@ -334,28 +418,14 @@ fn plan_route(
     if table.presence[access][dst.index()] && rng.gen_bool(0.25) {
         // Access carrier happens to haul all the way (regional probe).
         let p = table.route(access, src, dst)?;
-        extend_route(&mut route, &p, access);
+        extend_route(&mut route, p, access);
         return Some(route);
     }
     // Find a peering city: a city where both access and transit are present.
-    let peering = {
-        let src_loc = table.world.cities[src.index()].location;
-        let mut best: Option<(CityId, f64)> = None;
-        for ci in 0..table.world.cities.len() {
-            if table.presence[access][ci] && table.presence[transit][ci] {
-                let d = table.world.cities[ci].location.distance_km(&src_loc);
-                if best.map_or(true, |(_, bd)| d < bd) {
-                    best = Some((CityId(ci as u32), d));
-                }
-            }
-        }
-        best.map(|(c, _)| c)?
-    };
-    let leg1 = table.route(access, src, peering)?;
-    let leg2 = table.route(transit, peering, dst)?;
-    extend_route(&mut route, &leg1, access);
+    let peering = table.peering(access, transit, src)?;
+    extend_route(&mut route, table.route(access, src, peering)?, access);
     let transit_start = route.cities.len().saturating_sub(1);
-    extend_route(&mut route, &leg2, transit);
+    extend_route(&mut route, table.route(transit, peering, dst)?, transit);
     if rng.gen_bool(cfg.mpls_rate) && route.cities.len() > transit_start + 2 {
         route.tunnel = Some((transit_start + 1, route.cities.len() - 2));
     }
@@ -400,6 +470,101 @@ fn observe(route: PlannedRoute, rng: &mut StdRng, cfg: &ProbeConfig, world: &Wor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intertubes_graph::csr_dijkstra_filtered;
+
+    /// The linear scan the sorted peering order replaced: the first city,
+    /// by index, at strictly minimal distance from `src`.
+    fn peering_scan(
+        table: &CarrierTable<'_>,
+        access: usize,
+        transit: usize,
+        src: CityId,
+    ) -> Option<CityId> {
+        let src_loc = table.world.cities[src.index()].location;
+        let mut best: Option<(CityId, f64)> = None;
+        for ci in 0..table.world.cities.len() {
+            if table.presence[access][ci] && table.presence[transit][ci] {
+                let d = table.world.cities[ci].location.distance_km(&src_loc);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((CityId(ci as u32), d));
+                }
+            }
+        }
+        best.map(|(c, _)| c)
+    }
+
+    #[test]
+    fn tree_routes_match_filtered_dijkstra() {
+        let w = World::reference();
+        let mut table = CarrierTable::new(&w);
+        let cfg = ProbeConfig {
+            probes: 600,
+            ..ProbeConfig::default()
+        };
+        campaign_with(&mut table, &cfg);
+        assert!(table.trees_built > 100, "{} trees", table.trees_built);
+        // Every destination of every tree the campaign built, including the
+        // source itself and cities outside the provider's footprint.
+        let n = w.cities.len();
+        let mut st = SearchState::new();
+        let (mut trivial, mut unreachable) = (0usize, 0usize);
+        for slot in 0..table.trees.len() {
+            if table.trees[slot].is_empty() {
+                continue;
+            }
+            let (isp, src) = (slot / n, CityId((slot % n) as u32));
+            for dst in (0..n as u32).map(CityId) {
+                let Ok(want) = csr_dijkstra_filtered(
+                    &table.csr,
+                    &mut st,
+                    NodeId(src.0),
+                    NodeId(dst.0),
+                    |e| table.km[e.index()],
+                    &[],
+                    &table.banned[isp],
+                    None,
+                ) else {
+                    panic!("conduit lengths are valid costs");
+                };
+                let want = want.map(|p| Leg {
+                    nodes: p.nodes,
+                    edges: p.edges,
+                });
+                trivial += want.as_ref().is_some_and(|l| l.edges.is_empty()) as usize;
+                unreachable += want.is_none() as usize;
+                let got = table.route(isp, src, dst);
+                assert_eq!(got, want.as_ref(), "provider {isp}: {src:?} -> {dst:?}");
+            }
+        }
+        assert_eq!(trivial, table.trees_built, "src == dst once per tree");
+        assert!(
+            unreachable > 0,
+            "footprints should leave cities unreachable"
+        );
+    }
+
+    #[test]
+    fn sorted_peering_matches_linear_scan() {
+        let w = World::reference();
+        let mut table = CarrierTable::new(&w);
+        let mut rng = StdRng::seed_from_u64(13);
+        let providers = table.presence.len();
+        let mut found = 0usize;
+        for _ in 0..2_500 {
+            let access = rng.gen_range(0..providers);
+            let transit = rng.gen_range(0..providers);
+            let src = CityId(rng.gen_range(0..w.cities.len() as u32));
+            let want = peering_scan(&table, access, transit, src);
+            assert_eq!(
+                table.peering(access, transit, src),
+                want,
+                "access {access}, transit {transit}, {src:?}"
+            );
+            found += want.is_some() as usize;
+        }
+        assert!(found > 1_000, "only {found} triples have a peering city");
+        assert_eq!(table.peering_lookups, 2_500);
+    }
 
     fn small_campaign() -> (World, Campaign) {
         let w = World::reference();

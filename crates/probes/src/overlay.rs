@@ -9,7 +9,7 @@ use intertubes_atlas::World;
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 use intertubes_geo::GeoPoint;
 use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, MultiGraph, NodeId, SearchState};
-use intertubes_map::{FiberMap, MapConduitId, MapNodeId};
+use intertubes_map::{ConduitPairIndex, FiberMap, MapConduitId, MapNodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::Campaign;
@@ -259,24 +259,29 @@ pub fn overlay_campaign_with_chunk_size(
     // accumulators, search scratch and gap cache (the cache only memoizes
     // deterministic shortest-path results, so per-shard caches cannot
     // change any output).
+    let pairs = ConduitPairIndex::new(map);
     let routing = GapRouting {
+        pairs: &pairs,
         graph: &graph,
         csr: &csr,
         km: &km,
     };
-    let shards: Vec<Result<(Overlay, usize), ProbeError>> = intertubes_parallel::par_chunks_map(
-        &campaign.traces,
-        chunk_size.max(1),
-        |offset, traces| overlay_shard(world, map, &routing, &city_to_node, traces, offset, policy),
-    );
+    let shards: Vec<Result<(Overlay, ShardCounts), ProbeError>> =
+        intertubes_parallel::par_chunks_map(
+            &campaign.traces,
+            chunk_size.max(1),
+            |offset, traces| {
+                overlay_shard(world, map, &routing, &city_to_node, traces, offset, policy)
+            },
+        );
 
     // Merge barrier. Shards cover ascending trace ranges, so the first
     // error in shard order is the lowest-index error — the same one the
     // serial loop would abort on under the strict policy.
     let mut overlay = Overlay::empty(map.conduits.len());
-    let mut bad_endpoints = 0usize;
+    let mut counts = ShardCounts::default();
     for shard in shards {
-        let (part, bad) = match shard {
+        let (part, c) = match shard {
             Ok(v) => v,
             Err(e) => {
                 span.failed();
@@ -284,8 +289,11 @@ pub fn overlay_campaign_with_chunk_size(
             }
         };
         overlay.merge(&part);
-        bad_endpoints += bad;
+        counts.bad_endpoints += c.bad_endpoints;
+        counts.direct_pairs += c.direct_pairs;
+        counts.gap_pairs += c.gap_pairs;
     }
+    let bad_endpoints = counts.bad_endpoints;
     let mut report = DegradationReport::new();
     report.note(
         "probes.overlay",
@@ -296,18 +304,34 @@ pub fn overlay_campaign_with_chunk_size(
     span.items("overlaid", overlay.overlaid);
     span.items("skipped", overlay.skipped);
     span.items("bad_endpoints", bad_endpoints);
+    span.items("direct_pairs", counts.direct_pairs);
+    span.items("gap_pairs", counts.gap_pairs);
     if bad_endpoints > 0 {
         span.degraded();
     }
     Ok((overlay, report))
 }
 
-/// The read-only map view gap filling searches: the map graph (for edge →
+/// The read-only map view hop pairs resolve against: the conduit pair
+/// index for adjacent hops, and for gap filling the map graph (for edge →
 /// conduit payloads), its frozen CSR form and the per-edge km costs.
 struct GapRouting<'a> {
+    pairs: &'a ConduitPairIndex,
     graph: &'a MultiGraph<MapNodeId, MapConduitId>,
     csr: &'a CsrGraph,
     km: &'a [f64],
+}
+
+/// Per-shard tallies that do not depend on shard boundaries, summed at the
+/// merge barrier.
+#[derive(Debug, Default)]
+struct ShardCounts {
+    /// Traces dropped for out-of-range endpoints.
+    bad_endpoints: usize,
+    /// Hop pairs resolved to one conduit joining them.
+    direct_pairs: usize,
+    /// Hop pairs with no joining conduit, gap-filled along a map path.
+    gap_pairs: usize,
 }
 
 /// Overlays one contiguous shard of traces; `offset` is the shard's first
@@ -320,9 +344,14 @@ fn overlay_shard(
     traces: &[crate::campaign::Traceroute],
     offset: usize,
     policy: DegradationPolicy,
-) -> Result<(Overlay, usize), ProbeError> {
+) -> Result<(Overlay, ShardCounts), ProbeError> {
     let n = map.conduits.len();
-    let GapRouting { graph, csr, km } = *routing;
+    let GapRouting {
+        pairs,
+        graph,
+        csr,
+        km,
+    } = *routing;
     let mut st = SearchState::new();
     let mut gap_cache: HashMap<(u32, u32), Option<Vec<MapConduitId>>> = HashMap::new();
 
@@ -333,7 +362,7 @@ fn overlay_shard(
     let mut isp_conduits: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
     let mut overlaid = 0usize;
     let mut skipped = 0usize;
-    let mut bad_endpoints = 0usize;
+    let mut counts = ShardCounts::default();
 
     for (local, t) in traces.iter().enumerate() {
         let ti = offset + local;
@@ -350,7 +379,7 @@ fn overlay_shard(
                     cities: world.cities.len(),
                 });
             }
-            bad_endpoints += 1;
+            counts.bad_endpoints += 1;
             continue;
         };
         let dir = classify_direction(&src_city.location, &dst_city.location);
@@ -376,7 +405,7 @@ fn overlay_shard(
                 continue;
             }
             // Conduits for this hop pair: direct conduit or map-path.
-            let direct = map.conduits_between(u, v);
+            let direct = pairs.between(u, v);
             // Prefer a conduit whose tenants include the hinted operator;
             // fall back to the busiest.
             let hinted = hint_u.or(hint_v);
@@ -390,11 +419,12 @@ fn overlay_shard(
                     direct
                         .iter()
                         .max_by_key(|c| map.conduits[c.index()].tenant_count())
-                })
-                .copied();
-            let conduits: Vec<MapConduitId> = if let Some(chosen) = chosen {
-                vec![chosen]
+                });
+            let conduits: &[MapConduitId] = if let Some(chosen) = chosen {
+                counts.direct_pairs += 1;
+                std::slice::from_ref(chosen)
             } else {
+                counts.gap_pairs += 1;
                 let key = (u.0.min(v.0), u.0.max(v.0));
                 // A search error (non-finite edge cost) means the map
                 // region is unusable for gap-filling: same as no path.
@@ -406,7 +436,7 @@ fn overlay_shard(
                     .map(|p| p.edges.iter().map(|e| *graph.edge(*e)).collect())
                 });
                 match path {
-                    Some(p) => p.clone(),
+                    Some(p) => p,
                     None => continue,
                 }
             };
@@ -418,12 +448,20 @@ fn overlay_shard(
                     Direction::EastToWest => east_west[i] += 1,
                     Direction::Meridional => {}
                 }
+                // Owned names are only allocated the first time a provider
+                // is seen on a conduit (or at all).
                 for hint in [hint_u, hint_v].into_iter().flatten() {
-                    observed_isps[i].insert(hint.to_string());
-                    isp_conduits
-                        .entry(hint.to_string())
-                        .or_default()
-                        .insert(i as u32);
+                    if !observed_isps[i].contains(hint) {
+                        observed_isps[i].insert(hint.to_string());
+                    }
+                    match isp_conduits.get_mut(hint) {
+                        Some(seen) => {
+                            seen.insert(i as u32);
+                        }
+                        None => {
+                            isp_conduits.insert(hint.to_string(), BTreeSet::from([i as u32]));
+                        }
+                    }
                 }
                 any = true;
             }
@@ -444,7 +482,7 @@ fn overlay_shard(
             overlaid,
             skipped,
         },
-        bad_endpoints,
+        counts,
     ))
 }
 

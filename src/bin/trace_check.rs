@@ -15,7 +15,8 @@
 //! ```
 //!
 //! The `--profile` flag selects which stage-span set the manifest must
-//! contain: `export` (the default — the full pipeline), `serve` (snapshot
+//! contain: `export` (the default — the full pipeline, with the campaign
+//! and overlay search counts among the stage items), `serve` (snapshot
 //! load, scheduler, replay), `scenario` (snapshot load plus the ensemble
 //! evaluation), or `remote` (a `serve --listen` run: accept, frame, and
 //! route spans around the scheduler).
@@ -44,6 +45,17 @@ const EXPORT_STAGES: [&str; 15] = [
     "mitigation.robustness",
     "mitigation.augmentation",
     "mitigation.latency",
+];
+
+/// Item counts an `export` run's stages must carry: the route queries,
+/// tree builds and peering lookups of the probe campaign, and how many hop
+/// pairs the overlay resolved directly or gap-filled.
+const EXPORT_ITEMS: [(&str, &str); 5] = [
+    ("probes.campaign", "route_calls"),
+    ("probes.campaign", "trees_built"),
+    ("probes.campaign", "peering_lookups"),
+    ("overlay", "direct_pairs"),
+    ("overlay", "gap_pairs"),
 ];
 
 /// Stages a `serve` replay must record: the snapshot load, the scheduler's
@@ -77,15 +89,17 @@ fn usage() -> ! {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut required: &[&str] = &EXPORT_STAGES;
+    let mut required_items: &[(&str, &str)] = &EXPORT_ITEMS;
+    let no_items: &[(&str, &str)] = &[];
     if args.first().map(String::as_str) == Some("--profile") {
         if args.len() < 2 {
             usage();
         }
-        required = match args[1].as_str() {
-            "export" => &EXPORT_STAGES,
-            "serve" => &SERVE_STAGES,
-            "scenario" => &SCENARIO_STAGES,
-            "remote" => &REMOTE_STAGES,
+        (required, required_items) = match args[1].as_str() {
+            "export" => (&EXPORT_STAGES[..], &EXPORT_ITEMS[..]),
+            "serve" => (&SERVE_STAGES[..], no_items),
+            "scenario" => (&SCENARIO_STAGES[..], no_items),
+            "remote" => (&REMOTE_STAGES[..], no_items),
             _ => usage(),
         };
         args.drain(..2);
@@ -121,7 +135,21 @@ fn main() {
     {
         fail("manifest records a non-zero exit status");
     }
-    if let Err(problems) = validate_manifest(&manifest, required) {
+    let mut problems = validate_manifest(&manifest, required)
+        .err()
+        .unwrap_or_default();
+    for (stage, key) in required_items {
+        let count = manifest
+            .get("stages")
+            .and_then(|s| s.get(stage))
+            .and_then(|s| s.get("items"))
+            .and_then(|i| i.get(key))
+            .and_then(Value::as_u64);
+        if count.is_none() {
+            problems.push(format!("stage {stage}: required item {key} missing"));
+        }
+    }
+    if !problems.is_empty() {
         for p in &problems {
             eprintln!("trace_check: {p}");
         }
