@@ -83,4 +83,46 @@ mod tests {
         let d = haversine_km(&a, &b);
         assert!((d - std::f64::consts::PI * EARTH_RADIUS_KM).abs() < 1.0);
     }
+
+    /// External oracle: the Internet2/OS3E topology file lists link delays
+    /// that are exact great-circle lengths at R = 6 370 km divided by
+    /// 200 000 km/s (light in fiber). Rescaling our haversine to that
+    /// radius must reproduce every listed delay.
+    #[test]
+    fn haversine_reproduces_os3e_link_delays() {
+        // (lon, lat) as the topology file lists them.
+        const BATON_ROUGE: (f64, f64) = (-91.186994, 30.443335);
+        const HOUSTON: (f64, f64) = (-95.369784, 29.760450);
+        const JACKSONVILLE: (f64, f64) = (-81.655799, 30.331380);
+        const JACKSON: (f64, f64) = (-90.180489, 32.298690);
+        const MEMPHIS: (f64, f64) = (-90.048929, 35.149680);
+        const CHICAGO: (f64, f64) = (-87.632409, 41.884150);
+        const INDIANAPOLIS: (f64, f64) = (-86.149964, 39.766910);
+        const KANSAS_CITY: (f64, f64) = (-94.583062, 39.102960);
+        const MINNEAPOLIS: (f64, f64) = (-93.264929, 44.979035);
+        const CLEVELAND: (f64, f64) = (-81.690459, 41.504365);
+        const PHILADELPHIA: (f64, f64) = (-75.162369, 39.952270);
+        const NEW_YORK: (f64, f64) = (-74.007124, 40.714550);
+        let links = [
+            (BATON_ROUGE, HOUSTON, 0.00204694783608),
+            (BATON_ROUGE, JACKSONVILLE, 0.00456949380551),
+            (JACKSON, HOUSTON, 0.00284566493052),
+            (JACKSON, MEMPHIS, 0.00158599557917),
+            (CHICAGO, INDIANAPOLIS, 0.00133187913866),
+            (CHICAGO, KANSAS_CITY, 0.00331874650553),
+            (CHICAGO, MINNEAPOLIS, 0.00285011350871),
+            (CHICAGO, CLEVELAND, 0.00247492350823),
+            (PHILADELPHIA, NEW_YORK, 0.000647444847461),
+        ];
+        for ((alon, alat), (blon, blat), listed_s) in links {
+            let a = GeoPoint::new_unchecked(alat, alon);
+            let b = GeoPoint::new_unchecked(blat, blon);
+            let delay_s = haversine_km(&a, &b) * 6370.0 / EARTH_RADIUS_KM / 200_000.0;
+            let rel = (delay_s - listed_s).abs() / listed_s;
+            assert!(
+                rel < 1e-9,
+                "({alat}, {alon})–({blat}, {blon}): {delay_s} vs {listed_s}"
+            );
+        }
+    }
 }

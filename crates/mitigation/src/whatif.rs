@@ -88,41 +88,35 @@ pub struct CutReport {
     pub mean_avg_risk_after: f64,
 }
 
-/// Materializes a conduit cut: clones the map and removes every conduit in
-/// `cut`. Duplicate and out-of-range ids are ignored. Node ids are stable;
-/// surviving conduits keep their relative order (so downstream ids are the
-/// compaction of the survivors).
-pub fn apply_cut(map: &FiberMap, cut: &[MapConduitId]) -> FiberMap {
-    let mut sever = vec![false; map.conduits.len()];
-    for id in cut {
-        if let Some(s) = sever.get_mut(id.index()) {
-            *s = true;
-        }
-    }
-    let mut out = map.clone();
-    let mut keep = sever.iter().map(|&s| !s);
-    out.conduits.retain(|_| keep.next().unwrap_or(true));
-    out
-}
-
-/// Per-conduit share counts and per-provider conduit lists, computed with
+/// The §4.2 sharing profile of a frozen map, built once so every cut
+/// report is a scan over it: the de-duplicated roster, each provider's
+/// conduit ids (ascending), and the per-conduit share counts, with
 /// [`RiskMatrix::build`]'s lenient semantics (duplicate roster names
-/// dropped, first occurrence wins) but without opening an obs stage span —
-/// the §4.2 metrics below must be computable from serving worker threads,
-/// where spans are forbidden by the DESIGN.md §8 contract.
-struct SharingProfile {
+/// dropped, first occurrence wins).
+///
+/// A cut only removes conduits, and a surviving conduit's share count
+/// depends only on its own tenants, so every "after" metric is the
+/// "before" metric restricted to the survivors — same terms, same order,
+/// same bytes as rebuilding the profile over a severed copy of the map.
+/// Opens no obs stage span: reports are computed from serving worker
+/// threads, where spans are forbidden by the DESIGN.md §8 contract.
+#[derive(Debug)]
+pub struct CutBaseline {
+    /// De-duplicated provider roster, in first-occurrence order.
+    roster: Vec<String>,
+    /// `conduits_of[i]`: conduit ids `roster[i]` is a tenant of, ascending.
+    conduits_of: Vec<Vec<usize>>,
     /// `shared[c]`: roster providers sharing conduit `c`.
     shared: Vec<u16>,
-    /// `conduits_of[i]`: conduit ids provider `i` is a tenant of.
-    conduits_of: Vec<Vec<usize>>,
 }
 
-impl SharingProfile {
-    fn build(map: &FiberMap, isps: &[String]) -> SharingProfile {
-        let mut roster: Vec<&String> = Vec::with_capacity(isps.len());
+impl CutBaseline {
+    /// Profiles `map` against the roster `isps`.
+    pub fn new(map: &FiberMap, isps: &[String]) -> CutBaseline {
+        let mut roster: Vec<String> = Vec::with_capacity(isps.len());
         for isp in isps {
-            if !roster.contains(&isp) {
-                roster.push(isp);
+            if !roster.contains(isp) {
+                roster.push(isp.clone());
             }
         }
         let mut shared = vec![0u16; map.conduits.len()];
@@ -139,80 +133,102 @@ impl SharingProfile {
                 mine
             })
             .collect();
-        SharingProfile {
-            shared,
+        CutBaseline {
+            roster,
             conduits_of,
+            shared,
         }
     }
 
-    /// Fraction of conduits shared by ≥ 4 providers (§4.2).
-    fn frac_ge4(&self) -> f64 {
-        self.shared.iter().filter(|&&s| s >= 4).count() as f64 / self.shared.len().max(1) as f64
+    /// Fraction of the kept conduits shared by ≥ 4 providers (§4.2).
+    fn frac_ge4(&self, keep: impl Fn(usize) -> bool) -> f64 {
+        let mut kept = 0usize;
+        let mut ge4 = 0usize;
+        for (c, &s) in self.shared.iter().enumerate() {
+            if keep(c) {
+                kept += 1;
+                ge4 += usize::from(s >= 4);
+            }
+        }
+        ge4 as f64 / kept.max(1) as f64
     }
 
-    /// Mean per-provider average shared risk, as [`mean_avg_risk`].
-    fn mean_avg_risk(&self) -> f64 {
+    /// Highest share count on any kept conduit.
+    fn max_sharing(&self, keep: impl Fn(usize) -> bool) -> u16 {
+        self.shared
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| keep(c))
+            .map(|(_, &s)| s)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Mean per-provider average shared risk over the kept conduits, as
+    /// [`mean_avg_risk`]: providers left with no conduit are skipped.
+    fn mean_avg_risk(&self, keep: impl Fn(usize) -> bool) -> f64 {
         let mut total = 0.0;
         let mut n = 0usize;
         for cs in &self.conduits_of {
-            if cs.is_empty() {
+            let len = cs.iter().filter(|&&c| keep(c)).count();
+            if len == 0 {
                 continue;
             }
-            total += cs.iter().map(|&c| self.shared[c] as f64).sum::<f64>() / cs.len() as f64;
+            total += cs
+                .iter()
+                .filter(|&&c| keep(c))
+                .map(|&c| self.shared[c] as f64)
+                .sum::<f64>()
+                / len as f64;
             n += 1;
         }
         total / n.max(1) as f64
     }
-}
 
-/// Runs the before/after comparison for a conduit cut.
-///
-/// Safe to call from worker threads: unlike [`what_if`] it opens no obs
-/// stage span (the serving scheduler invokes it from parallel compute
-/// waves, where spans are forbidden by the DESIGN.md §8 contract) — only
-/// associative counters, which merge identically at any thread count.
-pub fn what_if_cut(map: &FiberMap, isps: &[String], cut: &[MapConduitId]) -> CutReport {
-    intertubes_obs::counter("mitigation.whatif_cut_calls", 1);
-    let before = SharingProfile::build(map, isps);
-    let severed = apply_cut(map, cut);
-    let after = SharingProfile::build(&severed, isps);
-    let mut in_cut = vec![false; map.conduits.len()];
-    for id in cut {
-        if let Some(s) = in_cut.get_mut(id.index()) {
-            *s = true;
+    /// Runs the before/after comparison for a conduit cut. Duplicate and
+    /// out-of-range ids are ignored.
+    ///
+    /// Safe to call from worker threads: unlike [`what_if`] it opens no
+    /// obs stage span — only associative counters, which merge
+    /// identically at any thread count.
+    pub fn report(&self, cut: &[MapConduitId]) -> CutReport {
+        intertubes_obs::counter("mitigation.whatif_cut_calls", 1);
+        let mut in_cut = vec![false; self.shared.len()];
+        for id in cut {
+            if let Some(s) = in_cut.get_mut(id.index()) {
+                *s = true;
+            }
+        }
+        let mut links_lost = 0usize;
+        let mut affected_isps = Vec::new();
+        for (isp, cs) in self.roster.iter().zip(&self.conduits_of) {
+            let lost = cs.iter().filter(|&&c| in_cut[c]).count();
+            links_lost += lost;
+            if lost > 0 {
+                affected_isps.push(isp.clone());
+            }
+        }
+        let all = |_: usize| true;
+        let survives = |c: usize| !in_cut[c];
+        CutReport {
+            conduits_cut: in_cut.iter().filter(|&&s| s).count(),
+            affected_isps,
+            links_lost,
+            ge4_before: self.frac_ge4(all),
+            ge4_after: self.frac_ge4(survives),
+            max_sharing_before: self.max_sharing(all),
+            max_sharing_after: self.max_sharing(survives),
+            mean_avg_risk_before: self.mean_avg_risk(all),
+            mean_avg_risk_after: self.mean_avg_risk(survives),
         }
     }
-    let mut links_lost = 0usize;
-    let mut seen: Vec<&String> = Vec::with_capacity(isps.len());
-    let affected_isps: Vec<String> = isps
-        .iter()
-        .filter(|isp| {
-            if seen.contains(isp) {
-                return false;
-            }
-            seen.push(isp);
-            let lost = map
-                .conduits
-                .iter()
-                .zip(&in_cut)
-                .filter(|(c, &s)| s && c.has_tenant(isp))
-                .count();
-            links_lost += lost;
-            lost > 0
-        })
-        .cloned()
-        .collect();
-    CutReport {
-        conduits_cut: in_cut.iter().filter(|&&s| s).count(),
-        affected_isps,
-        links_lost,
-        ge4_before: before.frac_ge4(),
-        ge4_after: after.frac_ge4(),
-        max_sharing_before: before.shared.iter().copied().max().unwrap_or(0),
-        max_sharing_after: after.shared.iter().copied().max().unwrap_or(0),
-        mean_avg_risk_before: before.mean_avg_risk(),
-        mean_avg_risk_after: after.mean_avg_risk(),
-    }
+}
+
+/// Runs the before/after comparison for a conduit cut against a baseline
+/// profiled on the spot; callers answering many cuts over one map keep a
+/// [`CutBaseline`] instead.
+pub fn what_if_cut(map: &FiberMap, isps: &[String], cut: &[MapConduitId]) -> CutReport {
+    CutBaseline::new(map, isps).report(cut)
 }
 
 fn mean_avg_risk(rm: &RiskMatrix) -> f64 {
@@ -254,8 +270,90 @@ pub fn what_if(map: &FiberMap, isps: &[String], plan: &AugmentationReport) -> Wh
 mod tests {
     use super::*;
     use crate::augmentation::AddedConduit;
+    use crate::robustness::heaviest_conduits;
+    use intertubes_atlas::World;
     use intertubes_geo::{GeoPoint, Polyline};
-    use intertubes_map::MapConduitId;
+    use intertubes_map::{build_map, MapConduitId, PipelineConfig};
+    use intertubes_records::{generate_corpus, CorpusConfig};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Materializes a conduit cut: clones the map and removes every
+    /// conduit in `cut`. Duplicate and out-of-range ids are ignored;
+    /// surviving conduits keep their relative order.
+    fn apply_cut(map: &FiberMap, cut: &[MapConduitId]) -> FiberMap {
+        let mut sever = vec![false; map.conduits.len()];
+        for id in cut {
+            if let Some(s) = sever.get_mut(id.index()) {
+                *s = true;
+            }
+        }
+        let mut out = map.clone();
+        let mut keep = sever.iter().map(|&s| !s);
+        out.conduits.retain(|_| keep.next().unwrap_or(true));
+        out
+    }
+
+    /// The clone-and-rebuild cut report [`CutBaseline::report`] must
+    /// reproduce byte for byte: profile the map, profile a severed clone
+    /// of it, and count lost tenancies by scanning every cut conduit's
+    /// tenant list.
+    fn reference_what_if_cut(map: &FiberMap, isps: &[String], cut: &[MapConduitId]) -> CutReport {
+        let before = CutBaseline::new(map, isps);
+        let after = CutBaseline::new(&apply_cut(map, cut), isps);
+        let mut in_cut = vec![false; map.conduits.len()];
+        for id in cut {
+            if let Some(s) = in_cut.get_mut(id.index()) {
+                *s = true;
+            }
+        }
+        let mut links_lost = 0usize;
+        let mut seen: Vec<&String> = Vec::with_capacity(isps.len());
+        let affected_isps: Vec<String> = isps
+            .iter()
+            .filter(|isp| {
+                if seen.contains(isp) {
+                    return false;
+                }
+                seen.push(isp);
+                let lost = map
+                    .conduits
+                    .iter()
+                    .zip(&in_cut)
+                    .filter(|(c, &s)| s && c.has_tenant(isp))
+                    .count();
+                links_lost += lost;
+                lost > 0
+            })
+            .cloned()
+            .collect();
+        let frac_ge4 = |p: &CutBaseline| {
+            p.shared.iter().filter(|&&s| s >= 4).count() as f64 / p.shared.len().max(1) as f64
+        };
+        CutReport {
+            conduits_cut: in_cut.iter().filter(|&&s| s).count(),
+            affected_isps,
+            links_lost,
+            ge4_before: frac_ge4(&before),
+            ge4_after: frac_ge4(&after),
+            max_sharing_before: before.shared.iter().copied().max().unwrap_or(0),
+            max_sharing_after: after.shared.iter().copied().max().unwrap_or(0),
+            mean_avg_risk_before: before.mean_avg_risk(|_| true),
+            mean_avg_risk_after: after.mean_avg_risk(|_| true),
+        }
+    }
+
+    /// Asserts the baseline's report serializes to the reference's bytes.
+    fn assert_matches_reference(
+        map: &FiberMap,
+        isps: &[String],
+        baseline: &CutBaseline,
+        cut: &[MapConduitId],
+    ) {
+        let fast = serde_json::to_string(&baseline.report(cut)).ok();
+        let slow = serde_json::to_string(&reference_what_if_cut(map, isps, cut)).ok();
+        assert!(fast.is_some(), "cut {cut:?} does not serialize");
+        assert_eq!(fast, slow, "cut {cut:?}");
+    }
 
     fn toy_map() -> FiberMap {
         let mut m = FiberMap::default();
@@ -395,12 +493,12 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         let rm = RiskMatrix::build(&m, &isps);
-        let profile = SharingProfile::build(&m, &isps);
+        let profile = CutBaseline::new(&m, &isps);
         assert_eq!(profile.shared, rm.shared);
         for (i, cs) in profile.conduits_of.iter().enumerate() {
             assert_eq!(cs, &rm.conduits_of(i), "provider {i}");
         }
-        assert_eq!(profile.mean_avg_risk(), mean_avg_risk(&rm));
+        assert_eq!(profile.mean_avg_risk(|_| true), mean_avg_risk(&rm));
     }
 
     #[test]
@@ -428,5 +526,69 @@ mod tests {
         assert_eq!(report.conduits_added, 0);
         assert_eq!(report.max_sharing_before, report.max_sharing_after);
         assert_eq!(report.mean_avg_risk_before, report.mean_avg_risk_after);
+    }
+
+    #[test]
+    fn baseline_reports_match_clone_and_rebuild_on_reference_map() {
+        let w = World::reference();
+        let corpus = generate_corpus(&w, &CorpusConfig::default());
+        let map = build_map(
+            &w.publish_maps(),
+            &corpus,
+            &w.cities,
+            &w.roads,
+            &w.rails,
+            &PipelineConfig::default(),
+        )
+        .map;
+        let isps: Vec<String> = w
+            .roster
+            .iter()
+            .take(intertubes_atlas::MAPPED_ISPS)
+            .map(|p| p.name.clone())
+            .collect();
+        let baseline = CutBaseline::new(&map, &isps);
+        let n = map.conduits.len() as u32;
+        let ids = |cs: &[u32]| cs.iter().map(|&c| MapConduitId(c)).collect::<Vec<_>>();
+        for c in 0..n {
+            assert_matches_reference(&map, &isps, &baseline, &ids(&[c]));
+        }
+        let top = heaviest_conduits(&RiskMatrix::build(&map, &isps), 24);
+        for (i, &p) in top.iter().enumerate() {
+            for &q in &top[i + 1..] {
+                assert_matches_reference(&map, &isps, &baseline, &[p, q]);
+            }
+        }
+        // Random cuts of 1–40 ids drawn past the end of the map, so
+        // duplicates and out-of-range ids both occur.
+        let mut rng = StdRng::seed_from_u64(0x5EED_C075);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(1..=40usize);
+            let cut: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n + n / 8)).collect();
+            assert_matches_reference(&map, &isps, &baseline, &ids(&cut));
+        }
+        assert_matches_reference(&map, &isps, &baseline, &[]);
+        let all: Vec<u32> = (0..n).collect();
+        assert_matches_reference(&map, &isps, &baseline, &ids(&all));
+    }
+
+    #[test]
+    fn baseline_reports_match_clone_and_rebuild_on_toy_roster_edge_cases() {
+        let m = toy_map_two();
+        // "W" is listed twice, "Q" holds no conduit, and "Y"/"Z" ride
+        // only conduit 0, so cutting it strands them entirely.
+        let isps: Vec<String> = ["W", "Y", "W", "Q", "Z", "X"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let baseline = CutBaseline::new(&m, &isps);
+        let cuts: [&[u32]; 7] = [&[], &[0], &[1], &[0, 1], &[1, 0, 1], &[0, 7], &[9]];
+        for cut in cuts {
+            let cut: Vec<MapConduitId> = cut.iter().map(|&c| MapConduitId(c)).collect();
+            assert_matches_reference(&m, &isps, &baseline, &cut);
+        }
+        let stranded = baseline.report(&[MapConduitId(0)]);
+        assert_eq!(stranded.affected_isps, vec!["W", "Y", "Z", "X"]);
+        assert_eq!(stranded.links_lost, 4);
     }
 }

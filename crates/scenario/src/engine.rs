@@ -10,7 +10,7 @@
 
 use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
-use intertubes_mitigation::what_if_cut;
+use intertubes_mitigation::CutBaseline;
 use intertubes_parallel::par_chunks_map;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,15 +49,15 @@ pub struct PairRoutes {
     pub routes: Vec<RouteSummary>,
 }
 
-/// Borrowed evaluation inputs: the frozen map, roster, route index, and
-/// CSR search structures. The serve layer builds one from its
-/// `QueryEngine` tables; tests build one directly over a toy map.
+/// Borrowed evaluation inputs: the frozen map, its sharing baseline, the
+/// route index, and CSR search structures. The serve layer builds one
+/// from its `QueryEngine` tables; tests build one directly over a toy map.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     /// The frozen fiber map.
     pub map: &'a FiberMap,
-    /// Provider roster (`what_if_cut` semantics).
-    pub isps: &'a [String],
+    /// The map's §4.2 sharing profile the certain cut is reported from.
+    pub baseline: &'a CutBaseline,
     /// Stored routes per conduit-joined pair.
     pub pairs: &'a [PairRoutes],
     /// Frozen conduit-graph adjacency.
@@ -216,7 +216,7 @@ pub fn evaluate(ctx: &EvalContext<'_>, plan: &ScenarioPlan) -> Result<Conditiona
     let certain_cut = if certain.is_empty() {
         None
     } else {
-        Some(what_if_cut(ctx.map, ctx.isps, &certain))
+        Some(ctx.baseline.report(&certain))
     };
 
     let mut ranked: Vec<ConduitCriticality> = exposed
@@ -301,9 +301,10 @@ mod tests {
     fn validation_errors_surface_before_any_work() {
         let map = FiberMap::default();
         let csr = map.graph().to_csr();
+        let baseline = CutBaseline::new(&map, &[]);
         let ctx = EvalContext {
             map: &map,
-            isps: &[],
+            baseline: &baseline,
             pairs: &[],
             csr: &csr,
             km: &[],

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use intertubes_geo::fiber_delay_us;
 use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::MapConduitId;
-use intertubes_mitigation::what_if_cut;
+use intertubes_mitigation::CutBaseline;
 use intertubes_scenario::{
     evaluate, ConditionalRisk, EvalContext, PairRoutes, RouteSummary, ScenarioError, ScenarioPlan,
 };
@@ -44,6 +44,9 @@ pub struct QueryEngine {
     /// deterministically otherwise (v1 containers) — either way the same
     /// tables, so answers don't depend on the container version.
     landmarks: Option<Landmarks>,
+    /// The §4.2 sharing profile every `CutImpact` report (and every
+    /// scenario certain cut) is answered from.
+    baseline: CutBaseline,
     /// The path index's routes re-expressed as the scenario engine's
     /// route→conduit table (one conversion at load, shared by every
     /// `Ensemble` evaluation).
@@ -78,6 +81,7 @@ impl QueryEngine {
         let csr = snap.map.graph().to_csr();
         let km = conduit_km(&snap.map);
         let landmarks = snap.landmarks.clone().or_else(|| build_landmarks(&snap.map));
+        let baseline = CutBaseline::new(&snap.map, &snap.isps);
         let scenario_pairs = snap
             .paths
             .pairs
@@ -102,6 +106,7 @@ impl QueryEngine {
             csr,
             km,
             landmarks,
+            baseline,
             scenario_pairs,
             telemetry: None,
             snapshot_id: "default".to_string(),
@@ -169,7 +174,7 @@ impl QueryEngine {
     pub fn conditional_risk(&self, plan: &ScenarioPlan) -> Result<ConditionalRisk, ScenarioError> {
         let ctx = EvalContext {
             map: &self.snap.map,
-            isps: &self.snap.isps,
+            baseline: &self.baseline,
             pairs: &self.scenario_pairs,
             csr: &self.csr,
             km: &self.km,
@@ -313,7 +318,7 @@ impl QueryEngine {
             };
         }
         let ids: Vec<MapConduitId> = conduits.iter().map(|&c| MapConduitId(c)).collect();
-        let report = what_if_cut(&self.snap.map, &self.snap.isps, &ids);
+        let report = self.baseline.report(&ids);
         // Conduit ids are edge ids of the conduit graph, so the severed
         // set doubles as the live search's edge ban mask.
         let mut severed = vec![false; n];

@@ -16,7 +16,10 @@
 use std::process::Command;
 use std::sync::OnceLock;
 
-use intertubes::scenario::{ScenarioError, ScenarioPlan};
+use intertubes::geo::GeoPoint;
+use intertubes::map::MapConduitId;
+use intertubes::mitigation::what_if_cut;
+use intertubes::scenario::{exposures, Footprint, HazardModel, ScenarioError, ScenarioPlan};
 use intertubes::serve::{QueryEngine, StudySnapshot};
 use intertubes::Study;
 
@@ -83,6 +86,46 @@ fn golden_reports_are_stable() {
             "{name} full report drifted from {path} (digest unchanged?!)"
         );
     }
+}
+
+/// Both built-in goldens have `certain_cut: null`, so a certain-failure
+/// disc pins the other branch on the reference snapshot: the embedded
+/// report is `what_if_cut` over exactly the exposed conduits, byte for
+/// byte.
+#[test]
+fn certain_disc_cut_matches_what_if_cut() {
+    let snap = snapshot();
+    let engine = QueryEngine::new(snap.clone());
+    let plan = ScenarioPlan {
+        name: "certain-disc".to_string(),
+        seed: 7,
+        draws: 64,
+        footprint: Footprint::Disc {
+            center: GeoPoint {
+                lat: 36.5,
+                lon: -89.5,
+            },
+            radius_km: 300.0,
+        },
+        model: HazardModel::Fixed { p: 1.0 },
+    };
+    let report = engine.conditional_risk(&plan);
+    let certain: Vec<MapConduitId> = exposures(&snap.map, &plan.footprint, &plan.model)
+        .iter()
+        .map(|e| MapConduitId(e.conduit))
+        .collect();
+    assert!(certain.len() > 1, "disc must cover several conduits");
+    assert_eq!(
+        report.as_ref().map(|r| r.certain_conduits),
+        Ok(certain.len())
+    );
+    let direct = what_if_cut(&snap.map, &snap.isps, &certain);
+    assert!(direct.links_lost > 0);
+    assert_eq!(
+        report.map(|r| serde_json::to_string(&r.certain_cut).ok()),
+        Ok(serde_json::to_string(&Some(direct)).ok()),
+        "certain_cut bytes diverged from what_if_cut"
+    );
 }
 
 /// A valid disc plan in JSON text form, for splicing error cases into.

@@ -22,7 +22,7 @@ use intertubes::geo::{GeoPoint, Polyline};
 use intertubes::map::{
     FiberMap, MapConduit, MapConduitId, Provenance, Tenancy, TenancySource,
 };
-use intertubes::mitigation::what_if_cut;
+use intertubes::mitigation::{what_if_cut, CutBaseline};
 use intertubes::parallel::with_threads;
 use intertubes::scenario::{
     evaluate, EnsembleAccumulator, EvalContext, Footprint, HazardModel, PairRoutes, RouteSummary,
@@ -136,9 +136,10 @@ fn fixture() -> &'static Fixture {
 fn eval_at(threads: usize, plan: &ScenarioPlan) -> intertubes::scenario::ConditionalRisk {
     let f = fixture();
     let csr = f.map.graph().to_csr();
+    let baseline = CutBaseline::new(&f.map, &f.isps);
     let ctx = EvalContext {
         map: &f.map,
-        isps: &f.isps,
+        baseline: &baseline,
         pairs: &f.pairs,
         csr: &csr,
         km: &f.km,
