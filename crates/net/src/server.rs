@@ -138,16 +138,22 @@ impl NetServer {
         &self.registry
     }
 
-    /// Binds `addr` and runs the poll loop on a background thread.
-    /// Binding port 0 picks an ephemeral port; see [`RunningServer::addr`].
+    /// Binds `addr` and runs the poll loop on a background thread, which
+    /// fans out to the caller's thread count. Binding port 0 picks an
+    /// ephemeral port; see [`RunningServer::addr`].
     pub fn spawn(self, addr: &str) -> io::Result<RunningServer> {
         let listener = NbListener::bind(addr)?;
         let local = listener.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
+        let threads = intertubes_parallel::thread_count();
         let handle = std::thread::Builder::new()
             .name("intertubes-net".to_string())
-            .spawn(move || self.serve_loop(&listener, Some(&flag)))?;
+            .spawn(move || {
+                intertubes_parallel::with_threads(threads, || {
+                    self.serve_loop(&listener, Some(&flag))
+                })
+            })?;
         Ok(RunningServer {
             addr: local,
             stop,

@@ -231,6 +231,11 @@ impl ObsConfig {
 /// manifests.
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes the session lock: while it is held, no session is recording.
+fn lock_sessions() -> MutexGuard<'static, ()> {
+    SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Recorder generation counter; thread-local metric shards are lazily
 /// re-bound when the generation moves on.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -441,7 +446,7 @@ impl Session {
     /// Begins recording. Blocks until any other session in the process
     /// finishes.
     pub fn begin(cfg: ObsConfig) -> Session {
-        let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = lock_sessions();
         let recorder = Arc::new(Recorder::new(cfg));
         *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&recorder));
         tracing::set_subscriber(recorder.clone());
@@ -603,8 +608,12 @@ mod tests {
 
     #[test]
     fn session_scopes_recording() {
+        // Sibling tests record sessions concurrently: the "no session"
+        // checks hold the session lock so none of theirs can be live.
+        let idle = lock_sessions();
         assert!(!active());
         counter("outside", 1); // no-op, must not panic
+        drop(idle);
         let session = Session::begin(ObsConfig::default());
         assert!(active());
         {
@@ -619,7 +628,9 @@ mod tests {
             span.degraded();
         }
         let record = session.finish();
+        let idle = lock_sessions();
         assert!(!active());
+        drop(idle);
         assert_eq!(record.stage_names(), vec!["inner", "outer"]);
         let inner = &record.stages[0];
         assert_eq!(inner.parent.as_deref(), Some("outer"));

@@ -1,4 +1,4 @@
-//! Rayon-backed parallel execution layer with a determinism contract.
+//! Scoped-thread parallel execution layer with a determinism contract.
 //!
 //! Every hot path in the workspace (map-construction pipeline, traceroute
 //! overlay, risk matrix, path enumeration) fans out through the helpers in
@@ -9,87 +9,104 @@
 //! > count, for every stage.**
 //!
 //! The helpers guarantee this by construction: inputs are split into
-//! contiguous chunks, each chunk is processed in input order, and chunk
-//! results are concatenated (or merged by the caller) in chunk order.
-//! Nothing downstream can observe how many threads ran.
+//! contiguous chunks, one per thread, each chunk is processed in input
+//! order, and chunk results are concatenated (or merged by the caller) in
+//! chunk order. Nothing downstream can observe how many threads ran. At
+//! one thread (or one item) nothing is spawned: "parallel at 1 thread" and
+//! "serial" are the same code path.
 //!
 //! Thread-count resolution, highest priority first:
 //!
-//! 1. a [`with_threads`] override (tests and benches);
+//! 1. a [`with_threads`] pin on the calling thread (the CLI's
+//!    `--threads N`, tests and benches); the helpers pin the same count on
+//!    every worker they spawn, so nested fan-outs see it too;
 //! 2. the `INTERTUBES_THREADS` environment variable;
-//! 3. rayon's global pool size (`RAYON_NUM_THREADS`, or the machine's
-//!    available parallelism).
+//! 3. the machine's available parallelism.
 //!
-//! With the `parallel` cargo feature disabled (it is on by default) every
-//! helper degrades to a plain serial loop and the resolution above is
-//! bypassed entirely.
+//! Sources 2 and 3 are read once per process. There is no process-global
+//! mutable thread state: a pin lives in a thread-local and ends with its
+//! [`with_threads`] call, on unwind too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
+thread_local! {
+    /// The count pinned by [`with_threads`] on this thread (0 = none).
+    static PINNED: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Test/bench override installed by [`with_threads`] (0 = none).
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes [`with_threads`] callers so concurrent overrides cannot
-/// interleave.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The number of worker threads parallel stages will fan out to.
-///
-/// Always ≥ 1. Returns 1 when the `parallel` feature is disabled.
+/// The number of worker threads parallel stages will fan out to. Always ≥ 1.
 pub fn thread_count() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let pinned = PINNED.with(Cell::get);
+    if pinned > 0 {
+        return pinned;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let o = OVERRIDE.load(Ordering::SeqCst);
-        if o > 0 {
-            return o;
-        }
-        if let Some(n) = std::env::var("INTERTUBES_THREADS")
+    static UNPINNED: OnceLock<usize> = OnceLock::new();
+    *UNPINNED.get_or_init(|| {
+        std::env::var("INTERTUBES_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        rayon::current_num_threads().max(1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// Restores the previous pin when dropped, including during unwinding.
+struct RestorePin(usize);
+
+impl Drop for RestorePin {
+    fn drop(&mut self) {
+        PINNED.with(|p| p.set(self.0));
     }
 }
 
-/// Runs `f` with the thread count pinned to `n` (≥ 1), restoring the
-/// previous state afterwards. Callers are serialized through a global
-/// lock, so concurrent tests cannot observe each other's override.
-///
-/// `RAYON_NUM_THREADS` is pinned for the duration too, so the underlying
-/// pool fans out to `n` OS threads even on machines with fewer cores.
+/// Runs `f` with the calling thread's thread count pinned to `n` (≥ 1),
+/// restoring the previous pin afterwards. Other threads are unaffected;
+/// workers spawned by this crate's helpers inherit the pin.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let n = n.max(1);
-    let guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_env = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let prev = OVERRIDE.swap(n, Ordering::SeqCst);
-    let result = f();
-    OVERRIDE.store(prev, Ordering::SeqCst);
-    match prev_env {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    drop(guard);
-    result
+    let _restore = RestorePin(PINNED.with(|p| p.replace(n.max(1))));
+    f()
 }
 
 /// The chunk length that splits `len` items into [`thread_count`] chunks.
 pub fn chunk_len(len: usize) -> usize {
     len.div_ceil(thread_count()).max(1)
+}
+
+/// The ordered driver behind every helper: splits `items` into
+/// [`thread_count`] contiguous chunks, maps each on its own scoped thread
+/// (pinned to the same count), and concatenates the results in chunk order.
+fn drive_ordered<I, R>(mut items: I, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: ExactSizeIterator,
+    I::Item: Send,
+    R: Send,
+{
+    let threads = thread_count();
+    if threads <= 1 || items.len() <= 1 {
+        return items.map(f).collect();
+    }
+    let chunk = chunk_len(items.len());
+    let chunks: Vec<Vec<I::Item>> = std::iter::from_fn(|| {
+        let c: Vec<I::Item> = items.by_ref().take(chunk).collect();
+        (!c.is_empty()).then_some(c)
+    })
+    .collect();
+    let f = &f;
+    let results: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|c| scope.spawn(move || with_threads(threads, || c.into_iter().map(f).collect())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    results.into_iter().flatten().collect()
 }
 
 /// Maps `f` over `items`, in parallel, preserving input order exactly.
@@ -103,17 +120,7 @@ where
     // the counter is identical at every thread count by construction.
     intertubes_obs::counter("parallel.par_map_calls", 1);
     intertubes_obs::counter("parallel.par_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > 1 {
-        return items
-            .par_chunks(chunk_len(items.len()))
-            .map(|chunk| chunk.iter().map(&f).collect::<Vec<R>>())
-            .collect::<Vec<Vec<R>>>()
-            .into_iter()
-            .flatten()
-            .collect();
-    }
-    items.iter().map(f).collect()
+    drive_ordered(items.iter(), f)
 }
 
 /// Maps `f` over owned `items`, in parallel, preserving input order.
@@ -125,14 +132,7 @@ where
 {
     intertubes_obs::counter("parallel.par_map_calls", 1);
     intertubes_obs::counter("parallel.par_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > 1 {
-        return items
-            .into_par_iter()
-            .map(f)
-            .collect::<Vec<R>>();
-    }
-    items.into_iter().map(f).collect()
+    drive_ordered(items.into_iter(), f)
 }
 
 /// Splits `items` into contiguous chunks of `chunk_size` and maps `f` over
@@ -154,23 +154,9 @@ where
     // so a chunk total would (correctly but uselessly) vary across runs.
     intertubes_obs::counter("parallel.par_chunks_map_calls", 1);
     intertubes_obs::counter("parallel.par_chunks_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > chunk_size {
-        let offsets_chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(i, c)| (i * chunk_size, c))
-            .collect();
-        return offsets_chunks
-            .into_par_iter()
-            .map(|(off, c)| f(off, c))
-            .collect();
-    }
-    items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(i, c)| f(i * chunk_size, c))
-        .collect()
+    drive_ordered(items.chunks(chunk_size).enumerate(), |(i, c)| {
+        f(i * chunk_size, c)
+    })
 }
 
 #[cfg(test)]
@@ -186,12 +172,51 @@ mod tests {
     fn with_threads_overrides_and_restores() {
         let before = thread_count();
         let inside = with_threads(3, thread_count);
-        if cfg!(feature = "parallel") {
-            assert_eq!(inside, 3);
-        } else {
-            assert_eq!(inside, 1);
-        }
+        assert_eq!(inside, 3);
         assert_eq!(thread_count(), before);
+    }
+
+    #[test]
+    fn with_threads_restores_after_a_panic() {
+        let before = thread_count();
+        let caught = std::panic::catch_unwind(|| with_threads(3, || panic!("inside the pin")));
+        assert!(caught.is_err());
+        assert_eq!(thread_count(), before);
+    }
+
+    #[test]
+    fn with_threads_does_not_leak_to_other_threads() {
+        let unpinned = thread_count();
+        let pin = unpinned + 1;
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                with_threads(pin, || {
+                    let _ = entered_tx.send(());
+                    // Hold the pin until the other thread has looked.
+                    let seen: usize = seen_rx.recv().unwrap_or(0);
+                    assert_eq!(seen, unpinned);
+                    assert_eq!(thread_count(), pin);
+                });
+            });
+            scope.spawn(move || {
+                let _ = entered_rx.recv();
+                let _ = seen_tx.send(thread_count());
+            });
+        });
+    }
+
+    #[test]
+    fn nested_par_map_sees_the_pinned_count_on_workers() {
+        let outer: Vec<u32> = (0..6).collect();
+        let seen = with_threads(3, || {
+            par_map(&outer, |_| {
+                let inner: Vec<u32> = (0..4).collect();
+                par_map(&inner, |_| thread_count())
+            })
+        });
+        assert!(seen.iter().flatten().all(|&n| n == 3), "{seen:?}");
     }
 
     #[test]

@@ -63,8 +63,8 @@ fn usage() -> ! {
            --threads N            worker threads for the parallel stages;\n\
                                   resolution order: --threads, then the\n\
                                   INTERTUBES_THREADS environment variable,\n\
-                                  then the rayon default (output is identical\n\
-                                  at any thread count)\n\
+                                  then the available cores (output is\n\
+                                  identical at any thread count)\n\
            --strict               abort on the first malformed input (exit 3)\n\
            --lenient              absorb malformed input and report it (default)\n\
            --faults <plan.json>   inject the fault plan into every pipeline input\n\
@@ -157,6 +157,8 @@ type CliResult<T> = Result<T, String>;
 
 struct Invocation {
     cfg: StudyConfig,
+    /// `--threads N`: pins the thread count for the whole command.
+    threads: Option<usize>,
     faults_path: Option<String>,
     trace_json: Option<String>,
     metrics_out: Option<String>,
@@ -173,6 +175,7 @@ fn parse_args() -> Invocation {
     let mut faults_path: Option<String> = None;
     let mut trace_json: Option<String> = None;
     let mut metrics_out: Option<String> = None;
+    let mut threads: Option<usize> = None;
     loop {
         match args.first().map(String::as_str) {
             Some("--threads") => {
@@ -183,9 +186,7 @@ fn parse_args() -> Invocation {
                     eprintln!("--threads takes a positive integer");
                     std::process::exit(2);
                 });
-                // Highest-priority thread-count source after test overrides
-                // (DESIGN.md §7); set before any parallel stage runs.
-                std::env::set_var("INTERTUBES_THREADS", n.to_string());
+                threads = Some(n);
                 args.drain(..2);
             }
             Some("--seed") => {
@@ -274,6 +275,7 @@ fn parse_args() -> Invocation {
     };
     Invocation {
         cfg,
+        threads,
         faults_path,
         trace_json,
         metrics_out,
@@ -430,7 +432,13 @@ fn parse_serve_opts(rest: &[String]) -> ServeOpts {
 
 fn main() {
     let inv = parse_args();
+    match inv.threads {
+        Some(n) => intertubes::parallel::with_threads(n, || execute(&inv)),
+        None => execute(&inv),
+    }
+}
 
+fn execute(inv: &Invocation) {
     // The session owns all stderr output from here on: events echo through
     // the INTERTUBES_LOG-filtered renderer, and everything is captured for
     // --trace-json / --metrics-out.
@@ -441,7 +449,7 @@ fn main() {
     let mut tenants_doc: Option<serde_json::Value> = None;
     let mut topology: Option<TopologyCounts> = None;
     let exit_status = match run(
-        &inv,
+        inv,
         &mut fault_plan_doc,
         &mut health_doc,
         &mut serve_stats_doc,

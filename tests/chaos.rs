@@ -10,7 +10,7 @@
 //! [`ChaosSession`] acting as the `SnapshotIo` layer.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use intertubes::degrade::DegradationPolicy;
 use intertubes::faults::{FaultFamily, FaultPlan};
@@ -21,14 +21,6 @@ use intertubes::serve::{
     ServeConfig, ServeTelemetry, StudySnapshot,
 };
 use intertubes::Study;
-
-/// Serializes every test in this binary: `with_threads` pins the
-/// process-global pool (same discipline as tests/serve.rs).
-static BATTERY: Mutex<()> = Mutex::new(());
-
-fn battery_lock() -> std::sync::MutexGuard<'static, ()> {
-    BATTERY.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The frozen reference study, built once per process.
 fn snapshot() -> &'static StudySnapshot {
@@ -78,7 +70,6 @@ fn chaos_replay(
 /// and 8 threads — and must never drop a query.
 #[test]
 fn chaos_battery_is_byte_identical_across_threads_and_policies() {
-    let _guard = battery_lock();
     for (name, plan) in FaultPlan::built_in_chaos_scenarios() {
         for policy in [DegradationPolicy::Strict, DegradationPolicy::Lenient] {
             let (baseline, base_report) = chaos_replay(&plan, policy, 1);
@@ -212,7 +203,6 @@ fn transient_io_faults_retry_and_recover() {
 /// attaches stale cached answers where it can.
 #[test]
 fn overload_shedding_degrades_but_never_drops() {
-    let _guard = battery_lock();
     let eng = engine();
     let queries = mixed_workload(snapshot(), REPLAY, SEED);
     let cfg = serve_cfg();
@@ -266,7 +256,6 @@ fn overload_shedding_degrades_but_never_drops() {
 /// recomputed: the response vector matches a clean run byte for byte.
 #[test]
 fn poisoned_cache_recomputes_identical_bytes() {
-    let _guard = battery_lock();
     let eng = engine();
     let queries = mixed_workload(snapshot(), REPLAY, SEED);
     let cfg = serve_cfg();

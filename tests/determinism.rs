@@ -21,7 +21,8 @@ use intertubes::{Study, StudyConfig};
 /// Serializes every test in this binary. The observability session is
 /// process-exclusive, and an instrumented `Study` build in one test would
 /// otherwise bleed spans and counters into another test's run record.
-/// Lock ordering everywhere: `BATTERY` → `with_threads` → `Session::begin`.
+/// Lock ordering everywhere: `BATTERY` → `Session::begin`. (`with_threads`
+/// takes no lock: its pin is local to the calling thread.)
 static BATTERY: Mutex<()> = Mutex::new(());
 
 fn battery_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -253,10 +254,9 @@ fn faulted_manifests_are_thread_count_invariant() {
 }
 
 #[test]
-fn thread_override_env_var_is_respected() {
+fn with_threads_pins_the_resolved_count() {
     let _guard = battery_lock();
-    // with_threads pins both the override and RAYON_NUM_THREADS; the
-    // resolved count must follow it exactly.
+    // The resolved count must follow the scoped pin exactly.
     for n in [1, 3, 8] {
         let seen = with_threads(n, intertubes::parallel::thread_count);
         assert_eq!(seen, n);

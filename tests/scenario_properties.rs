@@ -16,7 +16,7 @@
 //! properties drive a toy map shaped like the mitigation crate's whatif
 //! fixtures; the full-map path is covered by `tests/scenario_goldens.rs`.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use intertubes::geo::{GeoPoint, Polyline};
 use intertubes::map::{
@@ -29,10 +29,6 @@ use intertubes::scenario::{
     ScenarioPlan,
 };
 use proptest::prelude::*;
-
-/// Serializes the thread-count property: `with_threads` pins the
-/// process-global pool (lock ordering as in tests/serve.rs).
-static BATTERY: Mutex<()> = Mutex::new(());
 
 /// Toy fixture: a conduit square A–B–C–D with an A–C diagonal, plus a
 /// remote, geographically isolated conduit E–F that a small footprint can
@@ -245,7 +241,6 @@ proptest! {
         lon in -101.0f64..-97.0,
         radius_km in 50.0f64..500.0,
     ) {
-        let _guard = BATTERY.lock().unwrap_or_else(|e| e.into_inner());
         let plan = ScenarioPlan {
             name: "prop".to_string(),
             seed,
@@ -333,7 +328,6 @@ proptest! {
         seed in 0u64..u64::MAX,
         draws in 1u64..100,
     ) {
-        let _guard = BATTERY.lock().unwrap_or_else(|e| e.into_inner());
         let f = fixture();
         // A disc over the remote E–F conduit only: every sampled point of
         // conduit 5 is within 200 km of (45, -79); every other conduit is

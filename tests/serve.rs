@@ -9,7 +9,7 @@
 //! exercises both the pure-engine equivalence and the scheduler's
 //! decide–compute–assemble phase discipline.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use intertubes::parallel::with_threads;
 use intertubes::serve::{
@@ -17,15 +17,6 @@ use intertubes::serve::{
     StudySnapshot,
 };
 use intertubes::Study;
-
-/// Serializes every test in this binary: `with_threads` pins the
-/// process-global pool. Lock ordering matches tests/determinism.rs:
-/// `BATTERY` → `with_threads`.
-static BATTERY: Mutex<()> = Mutex::new(());
-
-fn battery_lock() -> std::sync::MutexGuard<'static, ()> {
-    BATTERY.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The frozen reference study, built once per process (the snapshot build
 /// dominates the battery's cost; every test serves from the same freeze).
@@ -58,7 +49,6 @@ fn replay(threads: usize, cache_on: bool) -> (Vec<String>, intertubes::serve::Se
 
 #[test]
 fn replay_is_byte_identical_across_threads_and_cache_modes() {
-    let _guard = battery_lock();
     let (baseline, base_stats) = replay(1, true);
     assert_eq!(baseline.len(), REPLAY);
     assert!(
@@ -82,7 +72,6 @@ fn replay_is_byte_identical_across_threads_and_cache_modes() {
 
 #[test]
 fn admission_control_rejects_past_the_limit() {
-    let _guard = battery_lock();
     let eng = engine();
     let queries = mixed_workload(snapshot(), 100, SEED);
     let cfg = ServeConfig {
@@ -120,7 +109,6 @@ fn workload_generation_is_seed_deterministic() {
 
 #[test]
 fn warm_cache_serves_a_repeat_batch_entirely_from_memory() {
-    let _guard = battery_lock();
     let eng = engine();
     let queries = mixed_workload(snapshot(), 150, SEED);
     let cfg = ServeConfig {
@@ -146,7 +134,6 @@ fn warm_cache_serves_a_repeat_batch_entirely_from_memory() {
 
 #[test]
 fn engine_answers_match_after_a_container_round_trip() {
-    let _guard = battery_lock();
     let bytes = snapshot().to_bytes().unwrap();
     let reloaded = QueryEngine::new(StudySnapshot::from_bytes(&bytes).unwrap());
     let eng = engine();
@@ -161,7 +148,6 @@ fn engine_answers_match_after_a_container_round_trip() {
 
 #[test]
 fn deadlines_are_accounted_but_never_drop_responses() {
-    let _guard = battery_lock();
     let eng = engine();
     let queries = mixed_workload(snapshot(), 80, SEED);
     // A deadline of 0 disables accounting entirely...
@@ -182,7 +168,6 @@ fn deadlines_are_accounted_but_never_drop_responses() {
 
 #[test]
 fn unknown_names_get_not_found_not_errors() {
-    let _guard = battery_lock();
     let eng = engine();
     for q in [
         Query::IspRisk {

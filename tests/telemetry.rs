@@ -12,7 +12,7 @@
 //! fault injection and health departures under chaos), which are
 //! functions of the plan, seed, and wave — not of thread count.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use intertubes::degrade::DegradationPolicy;
 use intertubes::faults::{FaultFamily, FaultPlan};
@@ -24,14 +24,6 @@ use intertubes::serve::{
 };
 use intertubes::Study;
 use serde_json::Value;
-
-/// Serializes every test in this binary: `with_threads` pins the
-/// process-global pool (same discipline as tests/serve.rs).
-static BATTERY: Mutex<()> = Mutex::new(());
-
-fn battery_lock() -> std::sync::MutexGuard<'static, ()> {
-    BATTERY.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The frozen reference study, built once per process.
 fn snapshot() -> &'static StudySnapshot {
@@ -101,7 +93,6 @@ fn forbidden_key_in(value: &Value) -> Option<String> {
 /// serially answered `Stats` probes spliced into the stream.
 #[test]
 fn canonical_count_plane_is_byte_identical_across_arms() {
-    let _guard = battery_lock();
     let (base_responses, base_doc, base_canon) = telemetry_arm(1, true);
     assert_eq!(base_responses.len(), REPLAY + 2);
     for threads in [1usize, 2, 8] {
@@ -138,7 +129,6 @@ fn canonical_count_plane_is_byte_identical_across_arms() {
 /// cache-mode-dependent counter — from the canonical form.
 #[test]
 fn timing_plane_is_present_in_full_doc_and_absent_from_canonical() {
-    let _guard = battery_lock();
     let (_, doc, canon) = telemetry_arm(1, true);
 
     assert_eq!(doc["schema"].as_str(), Some(STATS_SCHEMA));
@@ -177,7 +167,6 @@ fn timing_plane_is_present_in_full_doc_and_absent_from_canonical() {
 /// at least as many waves as the earlier one.
 #[test]
 fn stats_query_reports_completed_wave_state() {
-    let _guard = battery_lock();
     let (responses, _, _) = telemetry_arm(1, true);
     let mid: Value =
         serde_json::from_str(&responses[REPLAY / 2]).expect("mid-stream Stats parses");
@@ -199,7 +188,6 @@ fn stats_query_reports_completed_wave_state() {
 /// triggers actually fired.
 #[test]
 fn chaos_flight_dumps_are_byte_identical_across_arms() {
-    let _guard = battery_lock();
     let plan = FaultPlan::new(5).with(FaultFamily::OverloadBurst, 1.0);
 
     let mut baseline: Option<(String, String)> = None;
