@@ -167,7 +167,9 @@ pub fn jittered_route(
         pts.push(base.destination(bearing + side, offset.abs()));
     }
     pts.push(b);
-    Polyline::new(pts).expect("route has >= 2 points")
+    // `pts` holds both endpoints, so `new` cannot fail; the straight chord
+    // is the graceful fallback.
+    Polyline::new(pts).unwrap_or_else(|_| Polyline::straight(a, b))
 }
 
 /// Samples a corridor's *circuity overhead* (extra length as a fraction of
@@ -220,7 +222,8 @@ fn stretch_route(pl: &Polyline, target_km: f64) -> Polyline {
         out.push(pts[i].destination(dir + side, h));
     }
     out.push(pts[n - 1]);
-    Polyline::new(out).expect("same arity as input")
+    // `out` has the input's n >= 3 points, so `new` cannot fail.
+    Polyline::new(out).unwrap_or_else(|_| pl.clone())
 }
 
 fn build_network(

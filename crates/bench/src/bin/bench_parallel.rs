@@ -2,8 +2,7 @@
 //! paths (DESIGN.md §7), recorded to `BENCH_parallel.json` by
 //! `scripts/bench_gate.sh`.
 //!
-//! Unlike the Criterion benches this binary is cheap enough to run in CI:
-//! each stage is timed over a few iterations pinned to one thread and again
+//! The binary is cheap enough to run in CI: each stage is timed over a few iterations pinned to one thread and again
 //! at the environment's thread count, and the speedups are printed as JSON
 //! on stdout. On boxes with fewer than 4 cores the numbers are recorded but
 //! the gate script does not enforce a speedup floor — with a single core

@@ -1,15 +1,16 @@
 //! Shared helpers for the benchmark harness and the `figures` binary.
 //!
 //! Every table and figure of the paper's evaluation has a regeneration
-//! routine here; the `figures` binary prints them, the Criterion benches
-//! time the underlying computations, and EXPERIMENTS.md records measured vs
-//! paper values. See DESIGN.md §3 for the experiment index.
+//! routine here; the `figures` binary prints them, and EXPERIMENTS.md
+//! records measured vs paper values. See DESIGN.md §3 for the experiment
+//! index.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+use intertubes::map::ColocationReport;
 use intertubes::probes::{Campaign, Direction, Overlay};
 use intertubes::risk::{
     conduits_shared_by_at_least, hamming_heatmap, isp_sharing_ranking, raw_shared_conduits,
@@ -132,11 +133,21 @@ pub fn print_fig2_fig3() {
     );
 }
 
+/// The study's co-location report, or `None` after printing why the
+/// overlap parameters were rejected.
+fn colocation(s: &Study) -> Option<ColocationReport> {
+    s.colocation()
+        .map_err(|e| println!("co-location unavailable: {e}"))
+        .ok()
+}
+
 /// Figure 4: co-location histograms.
 pub fn print_fig4() {
     let s = study();
     hr("Figure 4 — fraction of conduits co-located with transport ROWs");
-    let report = s.colocation().expect("overlap params are valid");
+    let Some(report) = colocation(s) else {
+        return;
+    };
     println!("{:<12} {}", "bin", "road   rail   road∪rail");
     let road = report.road.relative();
     let rail = report.rail.relative();
@@ -163,7 +174,9 @@ pub fn print_fig4() {
 pub fn print_fig5() {
     let s = study();
     hr("Figure 5 — conduits on no road/rail corridor (pipeline ROWs)");
-    let report = s.colocation().expect("overlap params are valid");
+    let Some(report) = colocation(s) else {
+        return;
+    };
     println!(
         "{} of {} conduits are predominantly off road/rail corridors",
         report.off_corridor, report.total

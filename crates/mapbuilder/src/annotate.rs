@@ -53,16 +53,18 @@ pub fn to_annotated_geojson(map: &FiberMap, ann: &MapAnnotations) -> Value {
             "length_km": (length_km * 10.0).round() / 10.0,
             "delay_us": fiber_delay_us(length_km).round(),
         });
-        let obj = props.as_object_mut().expect("props is an object");
-        if let Some(t) = ann.traffic.get(i) {
-            obj.insert("traffic_probes".into(), json!(t));
-            obj.insert(
-                "traffic_relative".into(),
-                json!((*t as f64 / max_traffic as f64 * 1000.0).round() / 1000.0),
-            );
-        }
-        if let Some(s) = ann.shared.get(i) {
-            obj.insert("shared_risk".into(), json!(s));
+        // `props` is the object literal above, so this always matches.
+        if let Value::Object(obj) = &mut props {
+            if let Some(t) = ann.traffic.get(i) {
+                obj.insert("traffic_probes".into(), json!(t));
+                obj.insert(
+                    "traffic_relative".into(),
+                    json!((*t as f64 / max_traffic as f64 * 1000.0).round() / 1000.0),
+                );
+            }
+            if let Some(s) = ann.shared.get(i) {
+                obj.insert("shared_risk".into(), json!(s));
+            }
         }
         features.push(json!({
             "type": "Feature",

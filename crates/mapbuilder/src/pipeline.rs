@@ -808,7 +808,7 @@ pub fn build_map(
     }
 }
 
-/// Drops conduits failing every criterion of the long-haul definition.
+/// Drops conduits that meet none of the long-haul definition's tests.
 /// Returns how many were removed.
 fn apply_long_haul_policy(
     map: &mut FiberMap,

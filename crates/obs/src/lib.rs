@@ -4,9 +4,9 @@
 //! §8). Three coupled facilities:
 //!
 //! * **Stage spans** — every pipeline stage opens a [`stage`] guard that
-//!   records wall time, item counts, and an outcome, dispatched through the
-//!   vendored `tracing` stub to the session recorder. Spans nest; the
-//!   per-thread span stack gives events their span context.
+//!   records wall time, item counts, and an outcome, handed straight to
+//!   the session recorder. Spans nest; the per-thread span stack gives
+//!   events their span context.
 //! * **A metrics registry** — [`counter`], [`gauge`], [`histogram`] write
 //!   into per-thread [`MetricsSnapshot`] shards that merge associatively
 //!   and commutatively at session end, extending the serial==parallel
@@ -61,11 +61,79 @@ pub use manifest::{
 };
 pub use metrics::{Gauge, Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use ring::Ring;
-pub use tracing::{FieldValue, Level};
 
 // ---------------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------------
+
+/// Event/span severity, ordered from most to least severe:
+/// `Error < Warn < Info < Debug < Trace` (a *lower* level is *more*
+/// severe, and a filter keeps `level <= max`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Level {
+    /// The system cannot proceed as asked.
+    Error,
+    /// Something degraded but the run continues.
+    Warn,
+    /// Normal operational signposts (the default filter).
+    Info,
+    /// Diagnostic detail for debugging.
+    Debug,
+    /// Very fine-grained detail.
+    Trace,
+}
+
+impl Level {
+    /// Stable lower-case label (`"info"`, …) used in logs and JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Level::Error => "error",
+            Level::Warn => "warn",
+            Level::Info => "info",
+            Level::Debug => "debug",
+            Level::Trace => "trace",
+        }
+    }
+
+    /// Parses a level name, case-insensitively. `None` for unknown names.
+    pub fn parse(s: &str) -> Option<Level> {
+        match s.to_ascii_lowercase().as_str() {
+            "error" => Some(Level::Error),
+            "warn" | "warning" => Some(Level::Warn),
+            "info" => Some(Level::Info),
+            "debug" => Some(Level::Debug),
+            "trace" => Some(Level::Trace),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Level {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// One typed structured-field value attached to an event or span close.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// A string field.
+    Str(String),
+    /// An unsigned integer field (counts, sizes).
+    U64(u64),
+    /// A floating-point field (durations, ratios).
+    F64(f64),
+}
+
+impl std::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldValue::Str(s) => f.write_str(s),
+            FieldValue::U64(v) => write!(f, "{v}"),
+            FieldValue::F64(v) => write!(f, "{v}"),
+        }
+    }
+}
 
 /// What happened inside one structured log entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,8 +308,7 @@ fn lock_sessions() -> MutexGuard<'static, ()> {
 /// re-bound when the generation moves on.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// The active recorder (metrics side; the tracing side is the stub's
-/// subscriber slot, holding the same `Arc`).
+/// The active recorder: every span, event and metric goes here.
 static RECORDER: std::sync::RwLock<Option<Arc<Recorder>>> = std::sync::RwLock::new(None);
 
 thread_local! {
@@ -318,12 +385,6 @@ impl Recorder {
             None => eprintln!("{:>5} {message}", level.as_str()),
         }
     }
-}
-
-impl tracing::Subscriber for Recorder {
-    fn enabled(&self, level: Level) -> bool {
-        level <= self.filter
-    }
 
     fn span_enter(&self, name: &str) {
         let parent = Self::current_span();
@@ -340,7 +401,13 @@ impl tracing::Subscriber for Recorder {
         });
     }
 
-    fn span_exit(&self, name: &str, fields: &[(&str, FieldValue)]) {
+    fn span_exit(
+        &self,
+        name: &str,
+        wall_ms: f64,
+        outcome: StageOutcome,
+        items: &[(&'static str, u64)],
+    ) {
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if stack.last().map(String::as_str) == Some(name) {
@@ -348,23 +415,6 @@ impl tracing::Subscriber for Recorder {
             }
         });
         let parent = Self::current_span();
-        let mut wall_ms = 0.0;
-        let mut outcome = StageOutcome::Ok;
-        let mut items = Vec::new();
-        for (key, value) in fields {
-            match (*key, value) {
-                ("wall_ms", FieldValue::F64(v)) => wall_ms = *v,
-                ("outcome", FieldValue::Str(s)) => {
-                    outcome = match s.as_str() {
-                        "degraded" => StageOutcome::Degraded,
-                        "failed" => StageOutcome::Failed,
-                        _ => StageOutcome::Ok,
-                    }
-                }
-                (key, FieldValue::U64(v)) => items.push((key.to_string(), *v)),
-                _ => {}
-            }
-        }
         self.echo_line(
             Level::Debug,
             parent.as_deref(),
@@ -377,6 +427,15 @@ impl tracing::Subscriber for Recorder {
                     .collect::<String>()
             ),
         );
+        let items: Vec<(String, u64)> = items.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        let mut fields = vec![
+            ("wall_ms".to_string(), FieldValue::F64(wall_ms)),
+            (
+                "outcome".to_string(),
+                FieldValue::Str(outcome.label().to_string()),
+            ),
+        ];
+        fields.extend(items.iter().map(|(k, v)| (k.clone(), FieldValue::U64(*v))));
         self.push_log(EventRecord {
             seq: 0,
             t_ms: self.elapsed_ms(),
@@ -385,10 +444,7 @@ impl tracing::Subscriber for Recorder {
             target: "obs".to_string(),
             span: parent.clone(),
             message: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            fields,
         });
         self.stages
             .lock()
@@ -449,7 +505,6 @@ impl Session {
         let guard = lock_sessions();
         let recorder = Arc::new(Recorder::new(cfg));
         *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&recorder));
-        tracing::set_subscriber(recorder.clone());
         Session {
             _guard: guard,
             recorder,
@@ -458,7 +513,6 @@ impl Session {
 
     /// Stops recording and returns the captured [`RunRecord`].
     pub fn finish(self) -> RunRecord {
-        tracing::clear_subscriber();
         *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = None;
         let recorder = self.recorder;
         let events = std::mem::take(&mut *recorder.log.lock().unwrap_or_else(|e| e.into_inner()));
@@ -534,10 +588,10 @@ pub fn histogram(name: &str, value: u64) {
     });
 }
 
-/// Emits a structured event through the tracing dispatch (no-op outside a
-/// session, filtered by the session level).
+/// Emits a structured event (no-op outside a session, filtered by the
+/// session level).
 pub fn event(level: Level, target: &str, message: &str, fields: &[(&str, FieldValue)]) {
-    tracing::dispatch_event(level, target, message, fields);
+    with_recorder(|r| r.event(level, target, message, fields));
 }
 
 /// An in-progress stage span. Records wall time on drop; attach item
@@ -545,7 +599,9 @@ pub fn event(level: Level, target: &str, message: &str, fields: &[(&str, FieldVa
 /// [`StageGuard::degraded`] / [`StageGuard::failed`].
 #[derive(Debug)]
 pub struct StageGuard {
-    span: Option<tracing::Span>,
+    /// The span name while a session records it; `None` makes the guard
+    /// inert.
+    name: Option<String>,
     start: Instant,
     items: Vec<(&'static str, u64)>,
     outcome: StageOutcome,
@@ -557,9 +613,9 @@ pub struct StageGuard {
 /// pipeline); parallel fan-outs inside a stage report through [`counter`]
 /// and [`histogram`] instead.
 pub fn stage(name: &str) -> StageGuard {
-    let span = active().then(|| tracing::Span::enter(name));
+    let open = with_recorder(|r| r.span_enter(name)).is_some();
     StageGuard {
-        span,
+        name: open.then(|| name.to_string()),
         start: Instant::now(),
         items: Vec::new(),
         outcome: StageOutcome::Ok,
@@ -587,18 +643,11 @@ impl StageGuard {
 
 impl Drop for StageGuard {
     fn drop(&mut self) {
-        let Some(span) = self.span.take() else {
+        let Some(name) = self.name.take() else {
             return;
         };
         let wall_ms = self.start.elapsed().as_secs_f64() * 1e3;
-        let mut fields: Vec<(&str, FieldValue)> = vec![
-            ("wall_ms", FieldValue::F64(wall_ms)),
-            ("outcome", FieldValue::Str(self.outcome.label().to_string())),
-        ];
-        for (key, count) in &self.items {
-            fields.push((key, FieldValue::U64(*count)));
-        }
-        span.exit_with(&fields);
+        with_recorder(|r| r.span_exit(&name, wall_ms, self.outcome, &self.items));
     }
 }
 
@@ -612,7 +661,12 @@ mod tests {
         // checks hold the session lock so none of theirs can be live.
         let idle = lock_sessions();
         assert!(!active());
-        counter("outside", 1); // no-op, must not panic
+        // All no-ops; must not panic, and the inert stage must not leave
+        // a span on this thread's stack (`outer` below has no parent).
+        counter("outside", 1);
+        histogram("outside", 1);
+        event(Level::Error, "test", "goes nowhere", &[]);
+        drop(stage("quiet"));
         drop(idle);
         let session = Session::begin(ObsConfig::default());
         assert!(active());
@@ -651,6 +705,59 @@ mod tests {
         assert_eq!(ev.message, "hello");
         // seq is the log position
         assert!(record.events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+    }
+
+    #[test]
+    fn levels_order_and_parse() {
+        assert!(Level::Error < Level::Warn && Level::Info < Level::Trace);
+        assert_eq!(Level::parse("WARN"), Some(Level::Warn));
+        assert_eq!(Level::parse("warning"), Some(Level::Warn));
+        assert_eq!(Level::parse("nope"), None);
+        assert_eq!(Level::Debug.as_str(), "debug");
+        assert_eq!(Level::Trace.to_string(), "trace");
+    }
+
+    #[test]
+    fn no_subscriber_is_a_noop() {
+        let idle = lock_sessions();
+        assert!(!active());
+        counter("outside", 1);
+        gauge("outside", 1);
+        histogram("outside", 1);
+        event(Level::Error, "test", "goes nowhere", &[]);
+        drop(stage("quiet"));
+        drop(idle);
+        // Nothing recorded outside a session leaks into the next one.
+        let record = Session::begin(ObsConfig::default()).finish();
+        assert!(record.events.is_empty());
+        assert!(record.stages.is_empty());
+        assert!(record.metrics.is_empty());
+    }
+
+    #[test]
+    fn dispatch_roundtrip_and_filtering() {
+        let session = Session::begin(ObsConfig::default());
+        {
+            let mut span = stage("stage");
+            event(Level::Info, "test", &format!("hello {}", 7), &[]);
+            event(Level::Trace, "test", "filtered out", &[]);
+            span.items("items", 3);
+        }
+        let record = session.finish();
+        let log: Vec<(&str, &str)> = record
+            .events
+            .iter()
+            .map(|e| (e.kind.label(), e.message.as_str()))
+            .collect();
+        assert_eq!(
+            log,
+            vec![("span_open", "stage"), ("event", "hello 7"), ("span_close", "stage")]
+        );
+        assert_eq!(record.events[1].level, Level::Info);
+        assert_eq!(record.events[1].span.as_deref(), Some("stage"));
+        let items = ("items".to_string(), FieldValue::U64(3));
+        assert!(record.events[2].fields.contains(&items));
+        assert_eq!(record.stages[0].items, vec![("items".to_string(), 3)]);
     }
 
     #[test]

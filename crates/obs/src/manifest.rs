@@ -78,9 +78,7 @@ fn field_value_json(v: &FieldValue) -> Value {
     match v {
         FieldValue::Str(s) => Value::String(s.clone()),
         FieldValue::U64(n) => uint(*n),
-        FieldValue::I64(n) => Value::Number(Number::Int(*n)),
         FieldValue::F64(n) => float(*n),
-        FieldValue::Bool(b) => Value::Bool(*b),
     }
 }
 

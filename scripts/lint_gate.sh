@@ -9,7 +9,7 @@
 # can only go down: lower BUDGET when you remove one, never raise it.
 set -eu
 
-BUDGET=5
+BUDGET=3
 
 cd "$(dirname "$0")/.."
 
@@ -26,7 +26,8 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     fi
 done
 
-count=$(cargo clippy --workspace --all-targets 2>&1 |
+# Library and binary targets only: tests, benches and examples may unwrap.
+count=$(cargo clippy --workspace --lib --bins 2>&1 |
     grep -c 'used `unwrap()`\|used `expect()`' || true)
 
 echo "lint_gate: $count panicking call sites (budget $BUDGET)"

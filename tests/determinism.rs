@@ -16,6 +16,7 @@ use intertubes::mitigation::already_optimal_fraction;
 use intertubes::obs;
 use intertubes::parallel::with_threads;
 use intertubes::risk::hamming_heatmap;
+use intertubes::serve::fnv1a64;
 use intertubes::{Study, StudyConfig};
 
 /// Serializes every test in this binary. The observability session is
@@ -133,12 +134,13 @@ fn faulted_builds_are_thread_count_invariant() {
     }
 }
 
-/// Canonical run manifest + merged metrics for a full instrumented clean
-/// run at `threads`. The canonical form strips wall-clock fields and the
-/// environment section (DESIGN.md §8), so everything that remains —
-/// stage set, item counts, outcomes, counters, histograms, topology —
-/// must be byte-identical at every thread count.
-fn canonical_run(threads: usize) -> (String, String) {
+/// Canonical run manifest, merged metrics and canonical event log for a
+/// full instrumented clean run at `threads`. The canonical form strips
+/// wall-clock fields and the environment section (DESIGN.md §8), so
+/// everything that remains — stage set, item counts, outcomes, counters,
+/// histograms, topology — must be byte-identical at every thread count.
+/// The event log is `record_to_jsonl` with every line canonicalized.
+fn canonical_run(threads: usize) -> (String, String, String) {
     with_threads(threads, || {
         let session = obs::Session::begin(obs::ObsConfig::default());
         let cfg = StudyConfig::default();
@@ -180,16 +182,24 @@ fn canonical_run(threads: usize) -> (String, String) {
             .expect("canonical manifest serializes");
         let metrics = serde_json::to_string(&record.metrics.to_json())
             .expect("metrics serialize");
-        (canonical, metrics)
+        let log: Vec<String> = obs::record_to_jsonl(&record, &manifest)
+            .lines()
+            .map(|line| {
+                let value: serde_json::Value = serde_json::from_str(line).expect("log line parses");
+                serde_json::to_string(&obs::canonicalize(&value))
+                    .expect("canonical log line serializes")
+            })
+            .collect();
+        (canonical, metrics, log.join("\n"))
     })
 }
 
 #[test]
 fn canonical_manifests_are_thread_count_invariant() {
     let _guard = battery_lock();
-    let (serial_manifest, serial_metrics) = canonical_run(1);
+    let (serial_manifest, serial_metrics, _) = canonical_run(1);
     for threads in [2, 8] {
-        let (manifest, metrics) = canonical_run(threads);
+        let (manifest, metrics, _) = canonical_run(threads);
         assert_eq!(
             serial_manifest, manifest,
             "canonical manifest diverged between 1 and {threads} threads"
@@ -199,6 +209,28 @@ fn canonical_manifests_are_thread_count_invariant() {
             "merged metrics diverged between 1 and {threads} threads"
         );
     }
+}
+
+/// `fnv1a64` of the canonical manifest of `canonical_run(1)`.
+const CANONICAL_MANIFEST_FNV: &str = "37d62a7d581e01a8";
+
+/// `fnv1a64` of the canonical event log of `canonical_run(1)`.
+const CANONICAL_EVENT_LOG_FNV: &str = "125ac70227cbe537";
+
+/// The thread-count tests only compare runs with each other; this pins
+/// the observability bytes themselves, so a change to what the recorder
+/// writes fails here even when it is the same at every thread count.
+#[test]
+fn canonical_obs_plane_is_pinned() {
+    let _guard = battery_lock();
+    let (manifest, _, log) = canonical_run(1);
+    let digest = |s: &str| format!("{:016x}", fnv1a64(s.as_bytes()));
+    assert_eq!(
+        digest(&manifest),
+        CANONICAL_MANIFEST_FNV,
+        "canonical manifest"
+    );
+    assert_eq!(digest(&log), CANONICAL_EVENT_LOG_FNV, "canonical event log");
 }
 
 /// Canonical manifest for one instrumented faulted build: spans, injected
